@@ -393,18 +393,17 @@ func BenchmarkAblationFaultTolerance(b *testing.B) {
 }
 
 // stepBenchAt measures steady-state Step cost on a torus at the given
-// offered load, kernel shard count (0 = serial kernel), active-set setting
-// and scan path (refScan = retained reference path instead of the optimized
+// offered load, kernel shard count (0 = serial kernel) and scan path
+// (refScan = retained reference path instead of the optimized
 // struct-of-arrays scans). b.ReportAllocs surfaces the zero-allocation
 // steady-state property alongside ns/cycle.
-func stepBenchAt(b *testing.B, radix, shards int, load float64, activeSet, refScan bool) {
+func stepBenchAt(b *testing.B, radix, shards int, load float64, refScan bool) {
 	b.Helper()
 	topo := disha.Torus(radix, radix)
 	sim, err := disha.NewSimulator(disha.SimConfig{
 		Topo: topo, Algorithm: disha.DishaRouting(0), Pattern: disha.Uniform(topo),
 		LoadRate: load, MsgLen: 32, Timeout: 8, Seed: 1, Shards: shards,
-		DisableActiveSet: !activeSet,
-		ReferenceScan:    refScan,
+		ReferenceScan: refScan,
 	})
 	if err != nil {
 		b.Fatal(err)
@@ -440,13 +439,12 @@ func stepBenchGrid(b *testing.B, bench func(b *testing.B, radix int, load float6
 // every profileEvery cycles (0 = profiler off). The on/off twins isolate
 // the profiler's own Step overhead from the base telemetry cost; CI gates
 // their ratio.
-func stepBenchProfiled(b *testing.B, radix, shards int, load float64, activeSet bool, profileEvery int) {
+func stepBenchProfiled(b *testing.B, radix, shards int, load float64, profileEvery int) {
 	b.Helper()
 	topo := disha.Torus(radix, radix)
 	sim, err := disha.NewSimulator(disha.SimConfig{
 		Topo: topo, Algorithm: disha.DishaRouting(0), Pattern: disha.Uniform(topo),
 		LoadRate: load, MsgLen: 32, Timeout: 8, Seed: 1, Shards: shards,
-		DisableActiveSet: !activeSet,
 	})
 	if err != nil {
 		b.Fatal(err)
@@ -462,13 +460,13 @@ func stepBenchProfiled(b *testing.B, radix, shards int, load float64, activeSet 
 	b.ReportMetric(float64(topo.Nodes()), "routers/step")
 }
 
-// BenchmarkStepSerial is the serial full-scan baseline over the load × size
-// grid: the optimized struct-of-arrays scans, every router visited every
-// cycle, no worker pool. CI benchgates the sharded kernel, the active-set
-// scheduler and the reference scan path against these numbers.
+// BenchmarkStepSerial is the serial kernel over the load × size grid: the
+// optimized struct-of-arrays bitset scans, every router visited every
+// cycle, no worker pool. CI benchgates the sharded kernel against these
+// numbers, and these numbers against the reference scan path.
 func BenchmarkStepSerial(b *testing.B) {
 	stepBenchGrid(b, func(b *testing.B, radix int, load float64) {
-		stepBenchAt(b, radix, 0, load, false, false)
+		stepBenchAt(b, radix, 0, load, false)
 	})
 }
 
@@ -477,44 +475,32 @@ func BenchmarkStepSerial(b *testing.B) {
 // wall time may differ.
 func BenchmarkStepSharded(b *testing.B) {
 	stepBenchGrid(b, func(b *testing.B, radix int, load float64) {
-		stepBenchAt(b, radix, 4, load, false, false)
-	})
-}
-
-// BenchmarkStepActiveSet runs the serial kernel with the active-set
-// scheduler (the default in production) across the grid: at 0.1 load most
-// routers sleep most cycles and the scheduler should clear >= 1.5x the full
-// scan's cycles/sec; by 0.9 load nearly every router is busy and the two
-// converge. Results are byte-identical to the full scan at every load; only
-// the wall time differs.
-func BenchmarkStepActiveSet(b *testing.B) {
-	stepBenchGrid(b, func(b *testing.B, radix int, load float64) {
-		stepBenchAt(b, radix, 0, load, true, false)
+		stepBenchAt(b, radix, 4, load, false)
 	})
 }
 
 // BenchmarkStepReference runs the serial full scan through the retained
 // reference scan path — the faithful port of the pre-SoA per-slot walks.
-// It is the denominator of the SoA speed claim: CI requires the optimized
+// It is the denominator of the scan speed claims: CI requires the optimized
 // BenchmarkStepSerial to clear 1.15x this path's cycles/sec at 0.5 load on
-// the 16x16 torus (ns/op ratio <= 0.87), with additional guard gates at 0.1
-// and 0.9 load.
+// the 16x16 torus (ns/op ratio <= 0.87) and, since the bitset scans, 1/0.6
+// = 1.67x (ratio <= 0.6), with additional guard gates at 0.1 and 0.9 load.
 func BenchmarkStepReference(b *testing.B) {
 	stepBenchGrid(b, func(b *testing.B, radix int, load float64) {
-		stepBenchAt(b, radix, 0, load, false, true)
+		stepBenchAt(b, radix, 0, load, true)
 	})
 }
 
 // BenchmarkStepProfiled measures the kernel phase profiler's overhead at
-// the BenchmarkStepActiveSet/torus16/load0.5 operating point, with the telemetry
+// the BenchmarkStepSerial/torus16/load0.5 operating point, with the telemetry
 // stack attached in both runs so the comparison isolates the profiler:
 // "off" has ProfileEvery=0, "on" samples every 32nd cycle (the disha-sim
 // default is 64, so this is conservative). CI's benchgate requires on to
 // stay within 11% of off — i.e. profiler-on Step throughput must remain
 // >= 0.9x profiler-off.
 func BenchmarkStepProfiled(b *testing.B) {
-	b.Run("off", func(b *testing.B) { stepBenchProfiled(b, 16, 0, 0.5, true, 0) })
-	b.Run("on", func(b *testing.B) { stepBenchProfiled(b, 16, 0, 0.5, true, 32) })
+	b.Run("off", func(b *testing.B) { stepBenchProfiled(b, 16, 0, 0.5, 0) })
+	b.Run("on", func(b *testing.B) { stepBenchProfiled(b, 16, 0, 0.5, 32) })
 }
 
 // BenchmarkAblationAdaptiveTimeout compares fixed vs self-tuning T_out at

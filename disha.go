@@ -274,12 +274,6 @@ type SimConfig struct {
 	// value; 0 or 1 keeps the serial kernel. Call Close when done to stop
 	// the worker pool.
 	Shards int
-	// DisableActiveSet makes the kernel visit every router every cycle
-	// instead of only routers that can do work (see README, "Kernel
-	// parallelism"). The active-set scheduler is byte-identical to the full
-	// scan; disabling it only costs throughput at low load. Exists for
-	// benchmarking the full-scan baseline.
-	DisableActiveSet bool
 	// ReferenceScan runs the router-local phases through the retained
 	// reference scan path instead of the optimized struct-of-arrays scans.
 	// Byte-identical to the default path; exists as the baseline for the
@@ -332,9 +326,8 @@ func NewSimulator(cfg SimConfig) (*Simulator, error) {
 		InjectionThrottle: cfg.InjectionThrottle,
 		Burst:             cfg.Burst,
 		Kernel: network.KernelConfig{
-			Shards:           cfg.Shards,
-			DisableActiveSet: cfg.DisableActiveSet,
-			ReferenceScan:    cfg.ReferenceScan,
+			Shards:        cfg.Shards,
+			ReferenceScan: cfg.ReferenceScan,
 		},
 	})
 	if err != nil {
@@ -458,10 +451,9 @@ func (s *Simulator) ReconfigLog() []ReconfigOutcome {
 func (s *Simulator) Snapshot(w io.Writer) error { return s.net.Snapshot(w) }
 
 // Restore loads a Snapshot stream into this simulator. The simulator must
-// be freshly built with the identical SimConfig and never stepped; Shards,
-// DisableActiveSet and ReferenceScan alone may differ, since the sharded,
-// active-set and reference-scan kernels are byte-identical to the serial
-// optimized scan. On error the simulator is unusable and must be discarded.
+// be freshly built with the identical SimConfig and never stepped; Shards
+// and ReferenceScan alone may differ, since the sharded and reference-scan
+// kernels are byte-identical to the serial optimized scan. On error the simulator is unusable and must be discarded.
 func (s *Simulator) Restore(r io.Reader) error { return s.net.Restore(r) }
 
 // SaveCheckpoint atomically writes the simulation state to a file: the

@@ -203,7 +203,7 @@ func TestCampaignAcceptance(t *testing.T) {
 // TestCampaignShardedRaceClean runs a moderate campaign under the sharded
 // kernel and compares against serial — small enough for the race detector,
 // which is the point: chaos mutations must be race-clean under the sharded
-// kernel and the active-set scheduler.
+// kernel.
 func TestCampaignShardedRaceClean(t *testing.T) {
 	topo := topology.MustTorus(8, 8)
 	sched, err := Generate(CampaignConfig{

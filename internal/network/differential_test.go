@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/packet"
+	"repro/internal/router"
 	"repro/internal/routing"
 	"repro/internal/sim"
 	"repro/internal/topology"
@@ -80,6 +81,46 @@ func diffCases() []diffCase {
 		}},
 		{"dragonfly", func() Config { return tight(routing.Disha(2), topology.MustDragonfly(4, 2), 0.5, 2) }},
 		{"fattree", func() Config { return tight(routing.Disha(1), topology.MustFatTree(4), 0.5, 2) }},
+		// Multi-word slot bitsets: 23 ports x 3 VCs + 1 injection VC = 70
+		// slots (two words), and 64 ports + 1 = 65 slots with 65 input
+		// ports, past both the word boundary and the old 64-port scratch.
+		{"fullmesh24-3vc", func() Config {
+			cfg := tight(routing.Disha(1), topology.MustFullMesh(24), 0.3, 3)
+			cfg.MsgLen = 16
+			return cfg
+		}},
+		{"fullmesh65", func() Config {
+			cfg := tight(routing.Disha(1), topology.MustFullMesh(65), 0.2, 1)
+			cfg.MsgLen = 32
+			return cfg
+		}},
+		// The recovery modes, allocation policy and adaptive time-out the
+		// cube cases above leave at their defaults. Packet-by-packet
+		// allocation matters most: its connection scan has no separate
+		// reference function, only a full-walk mode.
+		{"pbp", func() Config {
+			cfg := tight(routing.Disha(0), topology.MustTorus(4, 4), 0.5, 2)
+			cfg.Router.Alloc = router.PacketByPacket
+			return cfg
+		}},
+		{"concurrent", func() Config {
+			cfg := tight(routing.Disha(0), topology.MustTorus(4, 4), 0.5, 2)
+			cfg.Router.Recovery = router.RecoveryConcurrent
+			return cfg
+		}},
+		{"abortretry", func() Config {
+			cfg := tight(routing.Disha(0), topology.MustTorus(4, 4), 0.5, 2)
+			cfg.Router.Recovery = router.RecoveryAbortRetry
+			cfg.Router.DeadlockBufferDepth = 0
+			return cfg
+		}},
+		{"adaptive", func() Config {
+			cfg := tight(routing.Disha(0), topology.MustTorus(4, 4), 0.5, 2)
+			cfg.Router.BufferDepth = 1
+			cfg.Router.Timeout = 2
+			cfg.Router.AdaptiveTimeout = true
+			return cfg
+		}},
 	}
 }
 

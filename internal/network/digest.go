@@ -15,9 +15,6 @@ import (
 // uses this to prove the sharded kernel is byte-identical to the serial one
 // and to pin simulation behavior against a committed golden file.
 func (n *Network) Fingerprint() [32]byte {
-	// Fast-forward routers the active-set scheduler is currently skipping,
-	// so the digest never depends on which scheduler produced the state.
-	n.syncIdle()
 	b := make([]byte, 0, 4096)
 	put := func(v int64) {
 		b = binary.LittleEndian.AppendUint64(b, uint64(v))

@@ -1,6 +1,7 @@
 package network
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -101,6 +102,38 @@ func TestDigraphTopologiesDrain(t *testing.T) {
 				t.Fatal(err)
 			}
 		})
+	}
+}
+
+// TestDigraphHighDegree is the regression test for routers with more than
+// 63 network ports: the switch allocators once kept their per-input-port
+// scratch in fixed [64] arrays, so full meshes of 65 or more nodes (and wide
+// dragonflies) panicked with an index out of range on the first cycle that
+// staged a flit. Both allocation policies must now step such graphs with
+// every structural invariant intact.
+func TestDigraphHighDegree(t *testing.T) {
+	for _, nodes := range []int{65, 100} {
+		for _, alloc := range []router.AllocPolicy{router.FlitByFlit, router.PacketByPacket} {
+			t.Run(fmt.Sprintf("fullmesh-%d/%v", nodes, alloc), func(t *testing.T) {
+				cfg := testConfig(topology.MustFullMesh(nodes), routing.Disha(1), 0.2, 5)
+				cfg.MsgLen = 32
+				cfg.Router.VCs = 1
+				cfg.Router.Alloc = alloc
+				n := mustNet(t, cfg)
+				defer n.Close()
+				for c := 1; c <= 300; c++ {
+					n.Step()
+					if c%100 == 0 {
+						if err := n.CheckInvariants(); err != nil {
+							t.Fatalf("cycle %d: %v", c, err)
+						}
+					}
+				}
+				if n.Counters().PacketsDelivered == 0 {
+					t.Fatal("no packets delivered")
+				}
+			})
+		}
 	}
 }
 

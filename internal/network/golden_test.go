@@ -117,8 +117,8 @@ func runCase(t *testing.T, gc goldenCase, shards int) string {
 }
 
 // runCaseKernel is runCase with full kernel-knob control: shard count,
-// reference vs optimized scan path, active-set scheduler on or off. Every
-// combination must land on the same committed digest.
+// reference vs optimized scan path. Every combination must land on the same
+// committed digest.
 func runCaseKernel(t *testing.T, gc goldenCase, kern KernelConfig) string {
 	t.Helper()
 	cfg := gc.build()
@@ -195,9 +195,8 @@ func TestGoldenDigests(t *testing.T) {
 }
 
 // TestGoldenKernelVariants proves every kernel knob digest-invariant against
-// the same committed goldens: the retained reference scan path (serial and
-// sharded), the active-set scheduler disabled, and both at once must all
-// land on the digests the optimized SoA path produced. A divergence here
+// the same committed goldens: the retained reference scan path, serial and
+// sharded, must land on the digests the optimized SoA path produced. A divergence here
 // with TestGoldenDigests green means the reference and optimized scans have
 // drifted apart — exactly the regression the SoA refactor's conformance
 // layer exists to catch.
@@ -212,8 +211,6 @@ func TestGoldenKernelVariants(t *testing.T) {
 	}{
 		{"reference-serial", KernelConfig{ReferenceScan: true}},
 		{"reference-shards4", KernelConfig{ReferenceScan: true, Shards: 4}},
-		{"activeset-off", KernelConfig{DisableActiveSet: true}},
-		{"reference-activeset-off", KernelConfig{ReferenceScan: true, DisableActiveSet: true}},
 	}
 	for _, gc := range goldenCases() {
 		gc := gc

@@ -25,9 +25,8 @@ type flitKey struct {
 //     in-network flits + delivered flits == flits injected so far;
 //   - credit consistency: on every link and VC, sender-side credits plus
 //     downstream buffer occupancy equal the configured buffer depth;
-//   - counter and activity soundness: every router's maintained O(1) flit
-//     counter equals a full buffer walk, and any router holding flits or
-//     crossbar connection state is in the active set;
+//   - counter soundness: every router's maintained O(1) flit counter
+//     equals a full buffer walk;
 //   - token exclusivity (sequential recovery): at most one packet is
 //     recovering on the Token (OnDB, seized, header not yet arrived), and
 //     the Token's held/holder state agrees with it; an occupied Deadlock
@@ -36,8 +35,8 @@ type flitKey struct {
 //   - SoA layout soundness: every router's slice of the shared
 //     struct-of-arrays buffers passes router.CheckState — ring cursors in
 //     range, vacated ring slots zeroed, grants inside their sentinel
-//     domains, credits in range, flit counter consistent with the rings —
-//     so a scan-path bug that corrupts the flat layout is caught even
+//     domains, credits in range, flit counter consistent with the rings,
+//     slot bitsets consistent with the per-slot arrays — so a scan-path bug that corrupts the flat layout is caught even
 //     before it changes view-level behavior.
 //
 // The conformance tests call it every few cycles — including under -race
@@ -117,13 +116,6 @@ func (n *Network) CheckInvariants() error {
 		}
 		if got := r.FlitCount(); got != routerFlits {
 			return fmt.Errorf("network invariant: node %d maintained flit count %d, buffers hold %d", node, got, routerFlits)
-		}
-		// Active-set soundness: any router that can do work — buffered flits
-		// or crossbar connection state — must be awake. (The converse is not
-		// an invariant: a drained router stays awake until the end-of-cycle
-		// sweep runs.)
-		if (routerFlits > 0 || !r.CrossbarIdle()) && !n.activeOn(int(node)) {
-			return fmt.Errorf("network invariant: node %d holds work but is inactive", node)
 		}
 		for q := 0; q < deg; q++ {
 			nb := r.Neighbor(q)

@@ -22,13 +22,6 @@ type KernelConfig struct {
 	// (no pool). Values above the node count are clamped. Negative values
 	// are a configuration error.
 	Shards int
-	// DisableActiveSet makes the stage and timer phases visit every router
-	// every cycle instead of only the active set (see activeset.go). The
-	// active-set scheduler is digest-invariant — it changes which routers
-	// are visited, never what any visit computes — so this knob exists only
-	// to benchmark the full-scan baseline and as an escape hatch; like
-	// Shards, it may differ freely between a snapshot and its restore.
-	DisableActiveSet bool
 	// ReferenceScan runs the router-local phases through the retained
 	// reference scan path (router.StageRoutingRef and friends — the faithful
 	// port of the pre-SoA per-slot walks) instead of the optimized
@@ -158,9 +151,7 @@ func (k *kernel) close() {
 }
 
 // stageShard runs the fused route-compute + switch-allocation phase for the
-// active routers in [lo, hi), staging transfers into the shard's reusable
-// buffer (the activity bitmap is only written in serial phases, so sharded
-// reads are race-free).
+// routers in [lo, hi), staging transfers into the shard's reusable buffer.
 // Both stages mutate only the owning router's state and read neighbor
 // Deadlock Buffer state that is start-of-cycle stable, so disjoint shards
 // run concurrently without synchronization; Deadlock-Buffer admissions are
@@ -175,8 +166,7 @@ func (n *Network) stageShard(lo, hi, shard int) {
 	// reads never touch simulation state (digest-invariant).
 	if p := n.prof; p != nil && p.active {
 		var routeNS, switchNS int64
-		for i := n.nextActive(lo, hi); i >= 0; i = n.nextActive(i+1, hi) {
-			r := n.routers[i]
+		for _, r := range n.routers[lo:hi] {
 			s0 := time.Now()
 			n.stageRoute(r)
 			s1 := time.Now()
@@ -188,8 +178,7 @@ func (n *Network) stageShard(lo, hi, shard int) {
 		n.stageBufs[shard] = buf
 		return
 	}
-	for i := n.nextActive(lo, hi); i >= 0; i = n.nextActive(i+1, hi) {
-		r := n.routers[i]
+	for _, r := range n.routers[lo:hi] {
 		n.stageRoute(r)
 		buf = n.stageSwitch(r, buf)
 	}
@@ -224,11 +213,10 @@ func (n *Network) tickTimers(r *router.Router) {
 	r.TickTimers()
 }
 
-// timerShard runs the deadlock-timer phase for the active routers in
-// [lo, hi). Timeout observers are buffered per router and flushed serially
-// afterwards.
+// timerShard runs the deadlock-timer phase for the routers in [lo, hi).
+// Timeout observers are buffered per router and flushed serially afterwards.
 func (n *Network) timerShard(lo, hi int) {
-	for i := n.nextActive(lo, hi); i >= 0; i = n.nextActive(i+1, hi) {
-		n.tickTimers(n.routers[i])
+	for _, r := range n.routers[lo:hi] {
+		n.tickTimers(r)
 	}
 }

@@ -199,14 +199,6 @@ type Network struct {
 	kern      *kernel
 	stageBufs [][]router.Transfer
 
-	// Active-set scheduler state (see activeset.go): one bit per router in
-	// actMask, the up-to-date-through cycle for inactive routers in
-	// idleSince. With the scheduler disabled every bit stays set and the
-	// same loops degenerate to full scans.
-	actMask      []uint64
-	idleSince    []sim.Cycle
-	activeSetOff bool
-
 	// routerState is the shared struct-of-arrays buffer set every router is
 	// a view over (see router.State); refScan selects the retained reference
 	// scan path (KernelConfig.ReferenceScan).
@@ -292,17 +284,11 @@ func New(cfg Config) (*Network, error) {
 		nis:         make([]ni, topo.Nodes()),
 		res:         router.NewReservations(),
 		outstanding: make([]int32, topo.Nodes()),
-		actMask:     make([]uint64, (topo.Nodes()+63)/64),
-		idleSince:   make([]sim.Cycle, topo.Nodes()),
 		linkDown:    make(map[[2]int]bool),
 		routerDead:  make([]bool, topo.Nodes()),
 		curAlg:      cfg.Algorithm,
 	}
-	n.activeSetOff = cfg.Kernel.DisableActiveSet
 	n.refScan = cfg.Kernel.ReferenceScan
-	for i := 0; i < topo.Nodes(); i++ {
-		n.setActive(i)
-	}
 	// All routers share one struct-of-arrays state, laid out router-major so
 	// the kernel's contiguous shards each own a contiguous range of every
 	// hot buffer (see router.State for the memory map).
@@ -442,13 +428,8 @@ func (n *Network) wireRecoveryLane(order []topology.Node) error {
 func (n *Network) Topo() topology.Graph { return n.topo }
 
 // Routers exposes the router array for analysis tools (wait-for-graph
-// construction) and tests. Callers must not mutate router state. Routers the
-// active-set scheduler is currently skipping are fast-forwarded first, so
-// introspection always sees the state a never-skipping kernel would have.
-func (n *Network) Routers() []*router.Router {
-	n.syncIdle()
-	return n.routers
-}
+// construction) and tests. Callers must not mutate router state.
+func (n *Network) Routers() []*router.Router { return n.routers }
 
 // Now returns the current simulation cycle.
 func (n *Network) Now() sim.Cycle { return n.clock.Now() }
@@ -564,17 +545,13 @@ func (n *Network) Step() {
 	// per router: both stages mutate only the owning router's state (plus
 	// start-of-cycle-stable reads of neighbor Deadlock Buffers), so shards
 	// stage concurrently. Deadlock-Buffer admissions are optimistic here.
-	// Only active routers are visited; the bitmap was last mutated in the
-	// serial injection phase, so sharded reads race with nothing.
 	if n.kern != nil {
 		n.kern.run(n.kern.stageFns)
 	} else {
 		n.xfers = n.xfers[:0]
-		hi := len(n.routers)
 		if profiled {
 			var routeNS, switchNS int64
-			for i := n.nextActive(0, hi); i >= 0; i = n.nextActive(i+1, hi) {
-				r := n.routers[i]
+			for _, r := range n.routers {
 				s0 := time.Now()
 				n.stageRoute(r)
 				s1 := time.Now()
@@ -584,8 +561,7 @@ func (n *Network) Step() {
 			}
 			n.prof.shardRoute[0], n.prof.shardSwitch[0] = routeNS, switchNS
 		} else {
-			for i := n.nextActive(0, hi); i >= 0; i = n.nextActive(i+1, hi) {
-				r := n.routers[i]
+			for _, r := range n.routers {
 				n.stageRoute(r)
 				n.xfers = n.stageSwitch(r, n.xfers)
 			}
@@ -612,45 +588,33 @@ func (n *Network) Step() {
 	}
 	if n.kern != nil {
 		for _, buf := range n.stageBufs {
-			for _, t := range buf {
-				router.Commit(t, n)
-				if !t.Dropped && !t.Eject {
-					n.wakeAtCommit(int(t.To.NodeID()), now)
-				}
+			for i := range buf {
+				router.Commit(&buf[i], n)
 			}
 		}
 	} else {
-		for _, t := range n.xfers {
-			router.Commit(t, n)
-			if !t.Dropped && !t.Eject {
-				n.wakeAtCommit(int(t.To.NodeID()), now)
-			}
+		for i := range n.xfers {
+			router.Commit(&n.xfers[i], n)
 		}
 	}
 	if profiled {
 		t0 = n.prof.lap(phaseCommit, t0)
 	}
 
-	// 4. Deadlock timers: router-local, sharded, active routers only (an
-	// inactive router holds no flits, so it has no timers to tick and no
-	// pending timeout observations to flush). Commit-phase wakes landed
-	// before this point, so a router that just received its first flit
-	// ticks — and starts accruing blocked time — this same cycle.
+	// 4. Deadlock timers: router-local, sharded.
 	if n.kern != nil {
 		n.kern.run(n.kern.timerFns)
 	} else {
-		hi := len(n.routers)
-		for i := n.nextActive(0, hi); i >= 0; i = n.nextActive(i+1, hi) {
-			n.tickTimers(n.routers[i])
+		for _, r := range n.routers {
+			n.tickTimers(r)
 		}
 	}
 	if profiled {
 		t0 = n.prof.lap(phaseTimers, t0)
 	}
 	if n.tracer != nil || n.tel != nil {
-		hi := len(n.routers)
-		for i := n.nextActive(0, hi); i >= 0; i = n.nextActive(i+1, hi) {
-			n.routers[i].FlushTimeouts()
+		for _, r := range n.routers {
+			r.FlushTimeouts()
 		}
 		// Episodes opened by this cycle's timeouts get their WFG verdict
 		// now, while the deadlock is still intact (recovery below breaks
@@ -677,9 +641,7 @@ func (n *Network) Step() {
 				}
 			}
 		case router.RecoveryConcurrent:
-			hi := len(n.routers)
-			for i := n.nextActive(0, hi); i >= 0; i = n.nextActive(i+1, hi) {
-				r := n.routers[i]
+			for _, r := range n.routers {
 				if r.PresumedHeaders() == 0 {
 					continue
 				}
@@ -707,13 +669,6 @@ func (n *Network) Step() {
 		n.telemetryTick(now)
 	}
 	if profiled {
-		t0 = time.Now()
-	}
-
-	// 7. Active-set maintenance: put every fully drained router to sleep.
-	n.deactivateDrained(now)
-	if profiled {
-		n.prof.lap(phaseActiveSweep, t0)
 		n.prof.observe(phaseStepTotal, time.Since(tStart))
 	}
 }
@@ -809,7 +764,6 @@ func (n *Network) generateAndInject(i int, now sim.Cycle) {
 			return // throttled: too many of this node's packets in flight
 		}
 		if r.InjectFlit(head.Flit(0), now) {
-			n.wakeAtInject(i, now)
 			q.pop()
 			n.counters.PacketsInjected++
 			n.outstanding[i]++
@@ -823,7 +777,6 @@ func (n *Network) generateAndInject(i int, now sim.Cycle) {
 		return
 	}
 	if r.InjectFlit(q.cur.Flit(q.seq), now) {
-		n.wakeAtInject(i, now)
 		q.seq++
 		if q.seq == q.cur.Length {
 			q.cur, q.seq = nil, 0
@@ -885,13 +838,7 @@ func (n *Network) killPresumed(now sim.Cycle) {
 		n.seenScratch = make(map[*packet.Packet]bool)
 	}
 	seen := n.seenScratch
-	// Only active routers can hold presumed headers (a presumed header is a
-	// buffered flit); the purge below still visits every router, because a
-	// victim can hold channel state (output VC ownership, empty-but-owned
-	// input VCs) on drained, inactive routers too.
-	hi := len(n.routers)
-	for ri := n.nextActive(0, hi); ri >= 0; ri = n.nextActive(ri+1, hi) {
-		r := n.routers[ri]
+	for _, r := range n.routers {
 		if r.PresumedHeaders() == 0 {
 			continue
 		}

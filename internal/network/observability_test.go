@@ -65,7 +65,7 @@ func TestProfilerPopulatesHistograms(t *testing.T) {
 		}
 		for _, phase := range []string{
 			"inject", "route_compute", "switch_allocate", "db_resolve",
-			"commit", "timers", "flush", "recovery", "active_sweep", "step_total",
+			"commit", "timers", "flush", "recovery", "step_total",
 		} {
 			if counts[phase] < 1 {
 				t.Errorf("shards=%d: phase %q observation count = %g, want >= 1", shards, phase, counts[phase])

@@ -18,7 +18,6 @@ const (
 	phaseTimers
 	phaseFlush
 	phaseRecovery
-	phaseActiveSweep
 	phaseStepTotal
 	numPhases
 )
@@ -26,7 +25,7 @@ const (
 // phaseNames are the `phase` label values, index-aligned with the constants.
 var phaseNames = [numPhases]string{
 	"inject", "route_compute", "switch_allocate", "db_resolve", "commit",
-	"timers", "flush", "recovery", "active_sweep", "step_total",
+	"timers", "flush", "recovery", "step_total",
 }
 
 // phaseProfiler times Step's phases into per-phase wall-clock histograms.

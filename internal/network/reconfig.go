@@ -20,8 +20,8 @@ import (
 // next cycle, and anything the post-change routing function can no longer
 // make progress for times out and escapes through the Deadlock Buffer lane —
 // the network is never drained. Every mutation runs in the serial prelude of
-// Step (before the clock ticks), so it composes with the sharded kernel and
-// the active-set scheduler without races, and every applied mutation is
+// Step (before the clock ticks), so it composes with the sharded kernel
+// without races, and every applied mutation is
 // recorded in the reconfiguration log so snapshots can replay the topology's
 // history on restore.
 
@@ -350,9 +350,6 @@ func (n *Network) applyKillLink(node topology.Node, port int) string {
 	if !ok {
 		return fmt.Sprintf("failing link %d/%d would disconnect the network", node, port)
 	}
-	// Parked routers replay their skipped cycles before any state is read or
-	// mutated, so victim scans see exactly what a never-skipping kernel would.
-	n.syncIdle()
 	victims := a.LinkVictims(port, n.victimScratch[:0])
 	victims = b.LinkVictims(rev, victims)
 	n.dropVictims(victims)
@@ -410,7 +407,6 @@ func (n *Network) applyKillRouter(node topology.Node) string {
 	if !n.liveConnectedExcluding(int(node)) {
 		return fmt.Sprintf("killing router %d would disconnect (or empty) the live network", node)
 	}
-	n.syncIdle()
 	d := n.routers[node]
 	// Three victim classes: packets buffered at the dying router, packets
 	// waiting (or streaming) at its source, and packets anywhere in the

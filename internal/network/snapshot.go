@@ -39,11 +39,6 @@ const (
 // Fingerprint at every subsequent cycle, which is the property the
 // checkpoint/resume machinery in internal/harness is built on.
 func (n *Network) Snapshot(w io.Writer) error {
-	// Bring skipped routers up to the current cycle first: the snapshot then
-	// carries no trace of the active-set scheduler (activation is rebuilt
-	// from the restored state, never serialized), so snapshots are identical
-	// across scheduler settings just as they are across shard counts.
-	n.syncIdle()
 	var enc snapshot.Writer
 	n.encodeConfigGuard(&enc)
 
@@ -283,9 +278,6 @@ func (n *Network) Restore(r io.Reader) error {
 		return fmt.Errorf("snapshot: %d bytes of trailing garbage", dec.Remaining())
 	}
 	n.countersValid = false
-	// Activation state is derived, not serialized: rebuild it from the
-	// restored router state (drained routers sleep as of the restored cycle).
-	n.rebuildActiveSet()
 	return nil
 }
 
@@ -355,9 +347,9 @@ func DecodeCounters(dec *snapshot.Reader) Counters {
 // encodeConfigGuard writes the identity of the configuration the snapshot
 // was taken under. Restore validates every field against the receiving
 // network so a snapshot can never be loaded into a structurally different
-// simulation; the kernel shard count and active-set toggle are deliberately
-// excluded because the sharded and active-set kernels are byte-identical to
-// the serial full-scan one.
+// simulation; the kernel shard count and scan path are deliberately
+// excluded because the sharded and reference-scan kernels are byte-identical
+// to the serial optimized one.
 func (n *Network) encodeConfigGuard(enc *snapshot.Writer) {
 	c := &n.cfg
 	enc.String(n.topo.Name())

@@ -194,10 +194,6 @@ func (n *Network) registerProbes(s *telemetry.Sampler) {
 // cycle presumed a new deadlock (throttled by the recorder's cooldown), and
 // fires the sampler on its period.
 func (n *Network) telemetryTick(now sim.Cycle) {
-	// Telemetry observes routers the active-set scheduler may be skipping
-	// (per-router gauges, probe totals, flight-recorder frames); fast-forward
-	// them so every reading matches a kernel that never skips.
-	n.syncIdle()
 	h := n.tel
 	if rec := h.Recorder; rec != nil {
 		fr := rec.BeginFrame(int64(now))
@@ -239,9 +235,6 @@ func (n *Network) labelEpisodes(now sim.Cycle) {
 	if !ep.HasPending() {
 		return
 	}
-	// The analyzer walks every router; fast-forward the ones the
-	// active-set scheduler is skipping so it sees canonical state.
-	n.syncIdle()
 	w := core.AnalyzeWFG(n.routers)
 	n.wfgCache, n.wfgCacheAt, n.wfgCacheOK = w, now, true
 	ep.LabelPending(w.TrueDeadlock(), w.DeadlockedIDs())

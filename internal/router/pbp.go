@@ -1,6 +1,6 @@
 package router
 
-import "repro/internal/packet"
+import "math/bits"
 
 // stageSwitchPBP implements packet-by-packet crossbar allocation (paper
 // Section 3.3): a crossbar connection is established when a packet wins an
@@ -17,10 +17,11 @@ import "repro/internal/packet"
 // The reception path is modeled separately from the crossbar (stageEjection
 // runs first in StageSwitch), matching routers whose delivery ports bypass
 // the switch. Connection state lives in the shared SoA crossbar arrays
-// (cxInPort and friends); there is no separate reference twin of this scan —
-// both kernel paths share it, and its inner arbitration uses the optimized
-// arbitrateInput.
-func (r *Router) stageSwitchPBP(out []Transfer) []Transfer {
+// (cxInPort and friends). Both kernel paths share this function: ref selects
+// full slot walks for its scans (connection establishment, recovered-input
+// search, lending arbitration) where the optimized path visits the slot
+// bitsets, so the differential suite proves the bitset scans here too.
+func (r *Router) stageSwitchPBP(out []Transfer, ref bool) []Transfer {
 	s := r.st
 	deg := r.deg
 
@@ -34,8 +35,9 @@ func (r *Router) stageSwitchPBP(out []Transfer) []Transfer {
 	// crossbar input that only its own downstream segment can release —
 	// a body-flit deadlock the timeout detector, which watches headers,
 	// can never recover).
-	var inputConn [64]int8
-	var inputPkt [64]*packet.Packet
+	inputConn, inputPkt := r.inConn, r.inConnPkt
+	clear(inputConn)
+	clear(inputPkt)
 	for q := 0; q < deg; q++ {
 		c := r.cxIdx(q)
 		if s.cxInPort[c] != connNone {
@@ -44,14 +46,7 @@ func (r *Router) stageSwitchPBP(out []Transfer) []Transfer {
 			inputPkt[p] = s.inPkt[r.inIdx(p, int(s.cxInVC[c]))]
 		}
 	}
-	var inputUsed [64]bool
-	for l := 0; l < s.stride; l++ {
-		if s.inSent[r.in0+l] {
-			p, _ := r.portVCOf(l)
-			inputUsed[p] = true
-		}
-	}
-
+	inputUsed := r.markSentPorts(ref)
 	total := s.stride
 
 	unwire := func(p int) {
@@ -86,6 +81,36 @@ func (r *Router) stageSwitchPBP(out []Transfer) []Transfer {
 		s.cxInPort[c], s.cxInVC[c] = connNone, 0
 		r.stats.Preemptions++
 	}
+	// lend gives output q to any sendable input VC (see the two callers).
+	lend := func(q int) {
+		if ref {
+			out = r.arbitrateInputRef(q, total, inputUsed, out)
+		} else {
+			out = r.arbitrateInput(q, inputUsed, out)
+		}
+	}
+	// connect wires output q to input slot l if its packet may take the
+	// connection, reporting whether it did.
+	connect := func(q, l int) bool {
+		g := r.in0 + l
+		if int(s.inRoute[g]) != q || s.inLen[g] == 0 {
+			return false
+		}
+		port, vc := r.portVCOf(l)
+		if inputUsed[port] {
+			return false
+		}
+		// A wired input port accepts further connections only for the
+		// packet already holding it (see inputConn above).
+		if inputConn[port] > 0 && inputPkt[port] != s.inPkt[g] {
+			return false
+		}
+		c := r.cxIdx(q)
+		s.cxInPort[c], s.cxInVC[c] = int32(port), int32(vc)
+		wire(port, vc)
+		s.swArbOff[r.swIdx(q)] = int32((l + 1) % total)
+		return true
+	}
 
 	for q := 0; q < deg; q++ {
 		if r.neighbors[q] == nil {
@@ -117,13 +142,13 @@ func (r *Router) stageSwitchPBP(out []Transfer) []Transfer {
 			// need this very port, so lend the idle slot (the paper's
 			// Assumption 1: internal flow control guarantees forward
 			// progress of buffers the recovery lane depends on).
-			out = r.arbitrateInput(q, total, &inputUsed, out)
+			lend(q)
 			continue
 		}
 
 		// A recovered packet in an edge buffer (status line asserted)
 		// preempts as well: its flits must reach the neighbor's DB.
-		if rp, rv, ok := r.recoveredInputFor(q); ok && !(int(s.cxInPort[c]) == rp && int(s.cxInVC[c]) == rv) {
+		if rp, rv, ok := r.recoveredInputFor(q, ref); ok && !(int(s.cxInPort[c]) == rp && int(s.cxInVC[c]) == rv) {
 			preempt(q)
 			s.cxInPort[c], s.cxInVC[c] = int32(rp), int32(rv)
 			wire(rp, rv)
@@ -143,28 +168,24 @@ func (r *Router) stageSwitchPBP(out []Transfer) []Transfer {
 		// dropped from the reconfiguration buffer heals.
 		if s.cxInPort[c] == connNone {
 			off := int(s.swArbOff[r.swIdx(q)])
-			for i := 0; i < total; i++ {
-				l := off + i
-				if l >= total {
-					l -= total
+			if ref {
+				for i := 0; i < total; i++ {
+					if connect(q, r.inLocal(r.nthInputVC((off+i)%total))) {
+						break
+					}
 				}
-				g := r.in0 + l
-				if int(s.inRoute[g]) != q || s.inLen[g] == 0 {
-					continue
+			} else {
+				req, occ := r.bitset(setReq0+q), r.bitset(setOcc)
+			scan:
+				for pass, lo, hi := 0, off, total; pass < 2; pass, lo, hi = pass+1, 0, off {
+					for w := lo >> 6; w<<6 < hi; w++ {
+						for x := req[w] & occ[w] & span(w, lo, hi); x != 0; x &= x - 1 {
+							if connect(q, w<<6+bits.TrailingZeros64(x)) {
+								break scan
+							}
+						}
+					}
 				}
-				port, vc := r.portVCOf(l)
-				if inputUsed[port] {
-					continue
-				}
-				// A wired input port accepts further connections only for
-				// the packet already holding it (see inputConn above).
-				if inputConn[port] > 0 && inputPkt[port] != s.inPkt[g] {
-					continue
-				}
-				s.cxInPort[c], s.cxInVC[c] = int32(port), int32(vc)
-				wire(port, vc)
-				s.swArbOff[r.swIdx(q)] = int32((off + i + 1) % total)
-				break
 			}
 		}
 		if s.cxInPort[c] == connNone {
@@ -193,7 +214,7 @@ func (r *Router) stageSwitchPBP(out []Transfer) []Transfer {
 				fl := s.inPeek(g)
 				out = append(out, tr)
 				inputUsed[inPort] = true
-				s.inSent[g] = true
+				r.setBit(setSent, r.inLocal(inPort, inVC), true)
 				if fl.IsTail() {
 					// Tail passes: tear down and reconnect any suspended
 					// input from the reconfiguration buffer.
@@ -202,21 +223,38 @@ func (r *Router) stageSwitchPBP(out []Transfer) []Transfer {
 			}
 		}
 		if !staged {
-			out = r.arbitrateInput(q, total, &inputUsed, out)
+			lend(q)
 		}
 	}
 	return out
 }
 
-// recoveredInputFor returns an input VC holding flits of a recovered packet
-// that must leave through output q onto the neighbor's Deadlock Buffer.
-func (r *Router) recoveredInputFor(q int) (port, vc int, ok bool) {
+// recoveredInputFor returns the lowest input VC holding flits of a
+// recovered packet that must leave through output q onto the neighbor's
+// Deadlock Buffer: a walk of every slot under ref, of the slots requesting
+// q otherwise.
+func (r *Router) recoveredInputFor(q int, ref bool) (port, vc int, ok bool) {
 	s := r.st
-	for l := 0; l < s.stride; l++ {
+	recovered := func(l int) bool {
 		i := r.in0 + l
-		if s.inPkt[i] != nil && int(s.inRoute[i]) == q && int(s.inOutVC[i]) == VCDeadlockBuffer && s.inLen[i] != 0 {
-			p, v := r.portVCOf(l)
-			return p, v, true
+		return s.inPkt[i] != nil && int(s.inRoute[i]) == q && int(s.inOutVC[i]) == VCDeadlockBuffer && s.inLen[i] != 0
+	}
+	if ref {
+		for l := 0; l < s.stride; l++ {
+			if recovered(l) {
+				p, v := r.portVCOf(l)
+				return p, v, true
+			}
+		}
+		return 0, 0, false
+	}
+	occ := r.bitset(setOcc)
+	for w, x := range r.bitset(setReq0 + q) {
+		for x &= occ[w]; x != 0; x &= x - 1 {
+			if l := w<<6 + bits.TrailingZeros64(x); recovered(l) {
+				p, v := r.portVCOf(l)
+				return p, v, true
+			}
 		}
 	}
 	return 0, 0, false

@@ -120,7 +120,7 @@ func (res *Reservations) Resolve(xfers []Transfer) {
 		}
 		t.Dropped = true
 		if !t.FromDB {
-			t.From.st.inSent[t.From.inIdx(t.FromPort, t.FromVC)] = false
+			t.From.setBit(setSent, t.From.inLocal(t.FromPort, t.FromVC), false)
 		}
 	}
 }
@@ -143,7 +143,7 @@ func (r *Router) StageRoutingRef() {
 	r.st.vcArbOff[r.node] = int32((off + 1) % max(total, 1))
 	for i := 0; i < total; i++ {
 		port, vc := r.nthInputVC((off + i) % total)
-		r.routeSlot(r.inIdx(port, vc))
+		r.routeSlot(r.inLocal(port, vc))
 	}
 }
 
@@ -162,11 +162,12 @@ func (r *Router) nthInputVC(i int) (port, vc int) {
 }
 
 // routeSlot performs routing computation and output VC allocation for the
-// input VC at global slot i, if its head flit is an unrouted header. Grants
-// take effect immediately in router-local state (output VC ownership), so
-// later slots visited in the same cycle see them.
-func (r *Router) routeSlot(i int) {
+// input VC at router-local slot l, if its head flit is an unrouted header.
+// Grants take effect immediately in router-local state (output VC
+// ownership), so later slots visited in the same cycle see them.
+func (r *Router) routeSlot(l int) {
 	s := r.st
+	i := r.in0 + l
 	if s.inLen[i] == 0 || s.inRoute[i] != PortUnrouted {
 		return
 	}
@@ -176,7 +177,7 @@ func (r *Router) routeSlot(i int) {
 	}
 	p := head.Pkt
 	if p.Dst == r.node {
-		s.inRoute[i] = PortEject
+		r.setRoute(l, PortEject)
 		return
 	}
 	if p.OnDB {
@@ -185,7 +186,7 @@ func (r *Router) routeSlot(i int) {
 		// Recover sets the route directly).
 		lane := r.recoveryLane(p.Dst)
 		s.inDBLane[i] = int32(lane)
-		s.inRoute[i] = int32(r.dbLaneRoute(lane, p.Dst))
+		r.setRoute(l, r.dbLaneRoute(lane, p.Dst))
 		s.inOutVC[i] = VCDeadlockBuffer
 		return
 	}
@@ -216,7 +217,7 @@ func (r *Router) routeSlot(i int) {
 		choice = r.sel.Pick(r, usable, r.rng)
 	}
 	s.outOwner[r.outIdx(choice.Port, choice.VC)] = p
-	s.inRoute[i] = int32(choice.Port)
+	r.setRoute(l, choice.Port)
 	s.inOutVC[i] = int32(choice.VC)
 	if choice.ToDeterministic {
 		p.OnDeterministic = true
@@ -231,7 +232,7 @@ func (r *Router) routeSlot(i int) {
 func (r *Router) StageSwitchRef(out []Transfer) []Transfer {
 	out = r.stageEjectionRef(out)
 	if r.cfg.Alloc == PacketByPacket {
-		return r.stageSwitchPBP(out)
+		return r.stageSwitchPBP(out, true)
 	}
 	return r.stageSwitchFBFRef(out)
 }
@@ -263,11 +264,11 @@ func (r *Router) stageEjectionRef(out []Transfer) []Transfer {
 	for i := 0; i < total && budget > 0; i++ {
 		port, vc := r.nthInputVC((off + i) % total)
 		g := r.inIdx(port, vc)
-		if int(s.inRoute[g]) != PortEject || s.inLen[g] == 0 || s.inSent[g] {
+		if int(s.inRoute[g]) != PortEject || s.inLen[g] == 0 || r.bitOn(setSent, r.inLocal(port, vc)) {
 			continue
 		}
 		out = append(out, Transfer{From: r, FromPort: port, FromVC: vc, Eject: true})
-		s.inSent[g] = true
+		r.setBit(setSent, r.inLocal(port, vc), true)
 		budget--
 		if !granted {
 			s.swArbOff[r.swIdx(r.deg)] = int32((off + i + 1) % total)
@@ -284,15 +285,8 @@ func (r *Router) stageEjectionRef(out []Transfer) []Transfer {
 // progresses).
 func (r *Router) stageSwitchFBFRef(out []Transfer) []Transfer {
 	s := r.st
-	var inputUsed [64]bool // deg+1 <= 64 always (n <= 31 dims)
 	// Ejection grants above already consumed their input ports this cycle.
-	for p := 0; p <= r.deg; p++ {
-		for v := 0; v < s.inVCCount(r.deg, p); v++ {
-			if s.inSent[r.inIdx(p, v)] {
-				inputUsed[p] = true
-			}
-		}
-	}
+	inputUsed := r.markSentPorts(true)
 	total := 0
 	for p := 0; p <= r.deg; p++ {
 		total += s.inVCCount(r.deg, p)
@@ -304,7 +298,7 @@ func (r *Router) stageSwitchFBFRef(out []Transfer) []Transfer {
 		if r.stageDBOutput(q, &out) {
 			continue
 		}
-		out = r.arbitrateInputRef(q, total, &inputUsed, out)
+		out = r.arbitrateInputRef(q, total, inputUsed, out)
 	}
 	return out
 }
@@ -329,9 +323,8 @@ func (r *Router) stageDBOutput(q int, out *[]Transfer) bool {
 // cycle, round-robin from the port's rotating offset, using the reference
 // nthInputVC index walk. It is the per-flit output arbitration of the
 // flit-by-flit policy and the lending fallback of the packet-by-packet
-// policy (which always uses the optimized arbitrateInput — the PBP scan has
-// no reference twin).
-func (r *Router) arbitrateInputRef(q, total int, inputUsed *[64]bool, out []Transfer) []Transfer {
+// policy on the reference path.
+func (r *Router) arbitrateInputRef(q, total int, inputUsed []bool, out []Transfer) []Transfer {
 	s := r.st
 	off := int(s.swArbOff[r.swIdx(q)])
 	for i := 0; i < total; i++ {
@@ -356,7 +349,7 @@ func (r *Router) arbitrateInputRef(q, total int, inputUsed *[64]bool, out []Tran
 			out = append(out, Transfer{From: r, FromPort: port, FromVC: vc, To: r.neighbors[q], OutPort: q, ToVC: int(s.inOutVC[g])})
 		}
 		inputUsed[port] = true
-		s.inSent[g] = true
+		r.setBit(setSent, r.inLocal(port, vc), true)
 		s.swArbOff[r.swIdx(q)] = int32((off + i + 1) % total)
 		break
 	}
@@ -373,7 +366,7 @@ type Sink interface {
 
 // Commit applies a staged transfer; ejected flits are passed to sink.
 // Transfers marked Dropped by Reservations.Resolve are ignored.
-func Commit(t Transfer, sink Sink) {
+func Commit(t *Transfer, sink Sink) {
 	if t.Dropped {
 		return
 	}
@@ -396,11 +389,11 @@ func Commit(t Transfer, sink Sink) {
 	default:
 		to := t.To
 		inPort := int(t.From.rev[t.OutPort])
-		ti := to.inIdx(inPort, t.ToVC)
-		to.st.inPush(ti, fl)
+		tl := to.inLocal(inPort, t.ToVC)
+		to.inPush(tl, fl)
 		to.st.flitCount[to.node]++
 		if fl.IsHeader() {
-			to.st.inPkt[ti] = fl.Pkt
+			to.st.inPkt[to.in0+tl] = fl.Pkt
 		}
 		oi := t.From.outIdx(t.OutPort, t.ToVC)
 		t.From.st.outCredits[oi]--
@@ -416,7 +409,7 @@ func Commit(t Transfer, sink Sink) {
 
 // popSource removes the flit from its source buffer, returning credits to
 // the upstream output VC and releasing wormhole state on tails.
-func (t Transfer) popSource() packet.Flit {
+func (t *Transfer) popSource() packet.Flit {
 	r := t.From
 	s := r.st
 	if t.FromDB {
@@ -430,8 +423,9 @@ func (t Transfer) popSource() packet.Flit {
 		}
 		return fl
 	}
-	i := r.inIdx(t.FromPort, t.FromVC)
-	fl := s.inPop(i)
+	l := r.inLocal(t.FromPort, t.FromVC)
+	i := r.in0 + l
+	fl := r.inPop(l)
 	s.flitCount[r.node]--
 	if t.FromPort < r.deg && r.neighbors[t.FromPort] != nil {
 		up := r.neighbors[t.FromPort]
@@ -439,7 +433,7 @@ func (t Transfer) popSource() packet.Flit {
 	}
 	if fl.IsTail() {
 		s.inPkt[i] = nil
-		s.inRoute[i] = PortUnrouted
+		r.setRoute(l, PortUnrouted)
 		s.inOutVC[i] = VCUnrouted
 		s.inWaiting[i] = 0
 		s.inPresumed[i] = false
@@ -483,7 +477,7 @@ func (r *Router) TickTimersRef() int {
 	tout := r.tickDecay()
 	for p := 0; p <= r.deg; p++ {
 		for v := 0; v < s.inVCCount(r.deg, p); v++ {
-			newly += r.tickSlot(r.inIdx(p, v), p, v, tout, &blocked, &presumed)
+			newly += r.tickSlot(r.inLocal(p, v), p, v, tout, &blocked, &presumed)
 		}
 	}
 	s.lastBlocked[r.node] = int32(blocked)
@@ -510,13 +504,14 @@ func (r *Router) tickDecay() sim.Cycle {
 	return tout
 }
 
-// tickSlot advances the deadlock timer of the input VC at global slot i =
-// inIdx(p, v) and clears its per-cycle sent marker, returning 1 if its
-// header newly crossed T_out. Shared by the reference and optimized timer
-// scans.
-func (r *Router) tickSlot(i, p, v int, tout sim.Cycle, blocked, presumed *int) int {
+// tickSlot advances the deadlock timer of the input VC at router-local
+// slot l = inLocal(p, v) and clears its per-cycle sent marker, returning 1
+// if its header newly crossed T_out. Shared by the reference and optimized
+// timer scans.
+func (r *Router) tickSlot(l, p, v int, tout sim.Cycle, blocked, presumed *int) int {
 	s := r.st
-	if s.inSent[i] {
+	i := r.in0 + l
+	if r.bitOn(setSent, l) {
 		if s.inPresumed[i] {
 			// The presumed-deadlocked header moved normally: a false
 			// detection. Under AdaptiveTimeout, back off.
@@ -528,7 +523,7 @@ func (r *Router) tickSlot(i, p, v int, tout sim.Cycle, blocked, presumed *int) i
 				}
 			}
 		}
-		s.inSent[i] = false
+		r.setBit(setSent, l, false)
 		s.inWaiting[i] = 0
 		s.inPresumed[i] = false
 		return 0
@@ -649,7 +644,7 @@ func (r *Router) Recover(port, vc int, now sim.Cycle) *packet.Packet {
 	p.RecoveredAt = now
 	lane := r.recoveryLane(p.Dst)
 	s.inDBLane[i] = int32(lane)
-	s.inRoute[i] = int32(r.dbLaneRoute(lane, p.Dst))
+	r.setRoute(r.inLocal(port, vc), r.dbLaneRoute(lane, p.Dst))
 	s.inOutVC[i] = VCDeadlockBuffer
 	s.inWaiting[i] = 0
 	s.inPresumed[i] = false
@@ -757,7 +752,7 @@ func (r *Router) PurgePacket(p *packet.Packet) int {
 		port, v := r.portVCOf(l)
 		n := int(s.inLen[i])
 		for k := 0; k < n; k++ {
-			s.inPop(i)
+			r.inPop(l)
 		}
 		s.flitCount[r.node] -= int32(n)
 		purged += n
@@ -766,11 +761,11 @@ func (r *Router) PurgePacket(p *packet.Packet) int {
 			up.st.outCredits[up.outIdx(int(r.rev[port]), v)] += int32(n)
 		}
 		s.inPkt[i] = nil
-		s.inRoute[i] = PortUnrouted
+		r.setRoute(l, PortUnrouted)
 		s.inOutVC[i] = VCUnrouted
 		s.inWaiting[i] = 0
 		s.inPresumed[i] = false
-		s.inSent[i] = false
+		r.setBit(setSent, l, false)
 	}
 	for q := 0; q < r.deg; q++ {
 		for v := 0; v < s.vcs; v++ {

@@ -1,14 +1,18 @@
 package router
 
-// The optimized SoA scan phases. These are the default per-cycle entry
-// points; each makes exactly the decisions of its *Ref twin in pipeline.go,
-// in the same order, so the two paths stay byte-identical in effect (the
-// differential conformance suite in internal/network enforces this every
-// cycle). The speed comes from the flat layout: per-slot candidacy checks
-// are single loads from contiguous int32/bool arrays (inLen, inRoute,
-// inSent), the rotating flat index maps to (port, vc) with the O(1)
-// portVCOf inverse instead of the O(ports) nthInputVC walk, and the slot
-// total is the precomputed stride rather than a per-call summation.
+import "math/bits"
+
+// The optimized SoA scan phases. These are the per-cycle entry points; each
+// makes exactly the decisions of its *Ref twin in pipeline.go, in the same
+// order, so the two paths stay byte-identical in effect (the differential
+// conformance suite in internal/network enforces this every cycle). The
+// speed comes from the slot bitsets (see State): every scan first combines
+// the bitsets word by word into the candidate slots of the phase — occupied
+// and unrouted for routing, occupied and requesting output q for
+// arbitration, occupied or sent for the timers — and then visits only those
+// slots with bits.TrailingZeros64 (see span), in the same rotated
+// round-robin order the full walk uses. Empty, routed-elsewhere and idle
+// slots, the overwhelming majority, are rejected a word at a time.
 
 // StageRouting performs routing computation and output VC allocation for
 // every input VC whose head flit is an unrouted header. Grants take effect
@@ -19,18 +23,13 @@ func (r *Router) StageRouting() {
 	total := s.stride
 	off := int(s.vcArbOff[r.node])
 	s.vcArbOff[r.node] = int32((off + 1) % total)
-	for i := 0; i < total; i++ {
-		l := off + i
-		if l >= total {
-			l -= total
+	occ, routed := r.bitset(setOcc), r.bitset(setRouted)
+	for pass, lo, hi := 0, off, total; pass < 2; pass, lo, hi = pass+1, 0, off {
+		for w := lo >> 6; w<<6 < hi; w++ {
+			for x := occ[w] &^ routed[w] & span(w, lo, hi); x != 0; x &= x - 1 {
+				r.routeSlot(w<<6 + bits.TrailingZeros64(x))
+			}
 		}
-		g := r.in0 + l
-		// Hot early-out on the contiguous arrays: most slots are empty or
-		// already routed, and this rejects them without touching the ring.
-		if s.inLen[g] == 0 || s.inRoute[g] != PortUnrouted {
-			continue
-		}
-		r.routeSlot(g)
 	}
 }
 
@@ -46,7 +45,7 @@ func (r *Router) StageRouting() {
 func (r *Router) StageSwitch(out []Transfer) []Transfer {
 	out = r.stageEjection(out)
 	if r.cfg.Alloc == PacketByPacket {
-		return r.stageSwitchPBP(out)
+		return r.stageSwitchPBP(out, false)
 	}
 	return r.stageSwitchFBF(out)
 }
@@ -71,26 +70,49 @@ func (r *Router) stageEjection(out []Transfer) []Transfer {
 	}
 	total := s.stride
 	off := int(s.swArbOff[r.swIdx(r.deg)])
+	req, occ, sent := r.bitset(r.reqSet(PortEject)), r.bitset(setOcc), r.bitset(setSent)
 	granted := false
-	for i := 0; i < total && budget > 0; i++ {
-		l := off + i
-		if l >= total {
-			l -= total
-		}
-		g := r.in0 + l
-		if int(s.inRoute[g]) != PortEject || s.inLen[g] == 0 || s.inSent[g] {
-			continue
-		}
-		port, vc := r.portVCOf(l)
-		out = append(out, Transfer{From: r, FromPort: port, FromVC: vc, Eject: true})
-		s.inSent[g] = true
-		budget--
-		if !granted {
-			s.swArbOff[r.swIdx(r.deg)] = int32((off + i + 1) % total)
-			granted = true
+	for pass, lo, hi := 0, off, total; pass < 2 && budget > 0; pass, lo, hi = pass+1, 0, off {
+		for w := lo >> 6; w<<6 < hi && budget > 0; w++ {
+			for x := req[w] & occ[w] &^ sent[w] & span(w, lo, hi); x != 0 && budget > 0; x &= x - 1 {
+				l := w<<6 + bits.TrailingZeros64(x)
+				port, vc := r.portVCOf(l)
+				out = append(out, Transfer{From: r, FromPort: port, FromVC: vc, Eject: true})
+				r.setBit(setSent, l, true)
+				budget--
+				if !granted {
+					s.swArbOff[r.swIdx(r.deg)] = int32((l + 1) % total)
+					granted = true
+				}
+			}
 		}
 	}
 	return out
+}
+
+// markSentPorts resets the input-port scratch and marks every port whose
+// VCs already sent a flit this cycle (the ejection grants): by visiting the
+// sent bitset, or under ref by the reference nested (port, vc) walk.
+func (r *Router) markSentPorts(ref bool) []bool {
+	used := r.inUsed
+	clear(used)
+	if ref {
+		for p := 0; p <= r.deg; p++ {
+			for v := 0; v < r.st.inVCCount(r.deg, p); v++ {
+				if r.bitOn(setSent, r.inLocal(p, v)) {
+					used[p] = true
+				}
+			}
+		}
+		return used
+	}
+	for w, x := range r.bitset(setSent) {
+		for ; x != 0; x &= x - 1 {
+			p, _ := r.portVCOf(w<<6 + bits.TrailingZeros64(x))
+			used[p] = true
+		}
+	}
+	return used
 }
 
 // stageSwitchFBF implements flit-by-flit crossbar allocation: a greedy
@@ -98,16 +120,10 @@ func (r *Router) stageEjection(out []Transfer) []Transfer {
 // with the Deadlock Buffer as an extra crossbar input that has priority on
 // its output (so the recovery lane always progresses).
 func (r *Router) stageSwitchFBF(out []Transfer) []Transfer {
-	s := r.st
-	var inputUsed [64]bool // deg+1 <= 64 always (n <= 31 dims)
-	// Ejection grants above already consumed their input ports this cycle:
-	// one linear sweep of the contiguous sent flags.
-	for l := 0; l < s.stride; l++ {
-		if s.inSent[r.in0+l] {
-			p, _ := r.portVCOf(l)
-			inputUsed[p] = true
-		}
+	if r.st.flitCount[r.node] == 0 {
+		return out // nothing buffered: no output can be granted
 	}
+	inputUsed := r.markSentPorts(false)
 	for q := 0; q < r.deg; q++ {
 		if r.neighbors[q] == nil {
 			continue
@@ -116,7 +132,7 @@ func (r *Router) stageSwitchFBF(out []Transfer) []Transfer {
 		if r.stageDBOutput(q, &out) {
 			continue
 		}
-		out = r.arbitrateInput(q, s.stride, &inputUsed, out)
+		out = r.arbitrateInput(q, inputUsed, out)
 	}
 	return out
 }
@@ -125,40 +141,38 @@ func (r *Router) stageSwitchFBF(out []Transfer) []Transfer {
 // round-robin starting from the port's rotating offset. It is the per-flit
 // output arbitration of the flit-by-flit policy and the lending fallback of
 // the packet-by-packet policy.
-func (r *Router) arbitrateInput(q, total int, inputUsed *[64]bool, out []Transfer) []Transfer {
+func (r *Router) arbitrateInput(q int, inputUsed []bool, out []Transfer) []Transfer {
 	s := r.st
+	total := s.stride
 	off := int(s.swArbOff[r.swIdx(q)])
-	for i := 0; i < total; i++ {
-		l := off + i
-		if l >= total {
-			l -= total
-		}
-		g := r.in0 + l
-		// Route mismatch is the overwhelmingly common case; test it on the
-		// contiguous route array before deriving (port, vc).
-		if int(s.inRoute[g]) != q || s.inLen[g] == 0 {
-			continue
-		}
-		port, vc := r.portVCOf(l)
-		if inputUsed[port] {
-			continue
-		}
-		if int(s.inOutVC[g]) == VCDeadlockBuffer {
-			if !dbStageable(r.neighbors[q], int(s.inDBLane[g]), s.inPkt[g]) {
-				continue
+	req, occ := r.bitset(setReq0+q), r.bitset(setOcc)
+	for pass, lo, hi := 0, off, total; pass < 2; pass, lo, hi = pass+1, 0, off {
+		for w := lo >> 6; w<<6 < hi; w++ {
+			for x := req[w] & occ[w] & span(w, lo, hi); x != 0; x &= x - 1 {
+				l := w<<6 + bits.TrailingZeros64(x)
+				port, vc := r.portVCOf(l)
+				if inputUsed[port] {
+					continue
+				}
+				g := r.in0 + l
+				if int(s.inOutVC[g]) == VCDeadlockBuffer {
+					if !dbStageable(r.neighbors[q], int(s.inDBLane[g]), s.inPkt[g]) {
+						continue
+					}
+					out = append(out, Transfer{From: r, FromPort: port, FromVC: vc,
+						To: r.neighbors[q], OutPort: q, ToDB: true, ToDBLane: int(s.inDBLane[g])})
+				} else {
+					if s.outCredits[r.outIdx(q, int(s.inOutVC[g]))] <= 0 {
+						continue
+					}
+					out = append(out, Transfer{From: r, FromPort: port, FromVC: vc, To: r.neighbors[q], OutPort: q, ToVC: int(s.inOutVC[g])})
+				}
+				inputUsed[port] = true
+				r.setBit(setSent, l, true)
+				s.swArbOff[r.swIdx(q)] = int32((l + 1) % total)
+				return out
 			}
-			out = append(out, Transfer{From: r, FromPort: port, FromVC: vc,
-				To: r.neighbors[q], OutPort: q, ToDB: true, ToDBLane: int(s.inDBLane[g])})
-		} else {
-			if s.outCredits[r.outIdx(q, int(s.inOutVC[g]))] <= 0 {
-				continue
-			}
-			out = append(out, Transfer{From: r, FromPort: port, FromVC: vc, To: r.neighbors[q], OutPort: q, ToVC: int(s.inOutVC[g])})
 		}
-		inputUsed[port] = true
-		s.inSent[g] = true
-		s.swArbOff[r.swIdx(q)] = int32((off + i + 1) % total)
-		break
 	}
 	return out
 }
@@ -171,23 +185,25 @@ func (r *Router) arbitrateInput(q, total int, inputUsed *[64]bool, out []Transfe
 // touches only router-local state and disjoint router shards can tick
 // concurrently. As a side effect it refreshes the router's telemetry
 // instrumentation (BlockedHeaders, PresumedHeaders, per-VC blocked-cycle
-// counters) — the loop already touches every input VC, so the extra cost is
-// a few adds.
+// counters).
+//
+// Only occupied or sent slots are visited, in ascending slot order (the
+// order timeout observations are buffered in). An empty slot that sent
+// nothing carries no timer state — every path that empties a ring either
+// marks the slot sent or clears its timer, and CheckState verifies it — so
+// ticking it would be a no-op.
 func (r *Router) TickTimers() int {
 	s := r.st
 	newly := 0
 	blocked, presumed := 0, 0
 	tout := r.tickDecay()
-	for l := 0; l < s.stride; l++ {
-		i := r.in0 + l
-		// Idle slots (empty, nothing sent, timer already clear) are the
-		// common case at every load; reject them with contiguous loads
-		// before paying for the (port, vc) split and the full slot tick.
-		if !s.inSent[i] && s.inLen[i] == 0 && s.inWaiting[i] == 0 && !s.inPresumed[i] {
-			continue
+	occ, sent := r.bitset(setOcc), r.bitset(setSent)
+	for w := range occ {
+		for x := occ[w] | sent[w]; x != 0; x &= x - 1 {
+			l := w<<6 + bits.TrailingZeros64(x)
+			p, v := r.portVCOf(l)
+			newly += r.tickSlot(l, p, v, tout, &blocked, &presumed)
 		}
-		p, v := r.portVCOf(l)
-		newly += r.tickSlot(i, p, v, tout, &blocked, &presumed)
 	}
 	s.lastBlocked[r.node] = int32(blocked)
 	s.lastPresumed[r.node] = int32(presumed)

@@ -104,7 +104,7 @@ func (r *Router) ReleaseGrants(port int) {
 		if ov := int(s.inOutVC[i]); ov >= 0 {
 			s.outOwner[r.outIdx(port, ov)] = nil
 		}
-		s.inRoute[i] = PortUnrouted
+		r.setRoute(l, PortUnrouted)
 		s.inOutVC[i] = VCUnrouted
 	}
 }
@@ -174,10 +174,7 @@ func (r *Router) RefreshDBRoutes() {
 // header, busy the count of input VCs granted to the Deadlock Buffer lane
 // plus DB lane flits and unreleased lane ownerships. Zero for both,
 // network-wide, means no packet is presumed deadlocked and the recovery
-// lane has fully drained — the chaos runner's reconvergence condition. The
-// buffered state this reads is exact even for routers the active-set
-// scheduler has parked (only timers and arbitration offsets lag), so the
-// caller needs no syncIdle.
+// lane has fully drained — the chaos runner's reconvergence condition.
 func (r *Router) RecoveryBusy() (presumed, busy int) {
 	s := r.st
 	for l := 0; l < s.stride; l++ {

@@ -90,6 +90,7 @@ type Router struct {
 	db0  int // first Deadlock Buffer slot: node * st.lanes
 	cx0  int // first crossbar slot:        node * st.deg
 	sw0  int // first switch-arb slot:      node * (st.deg + 1)
+	b0   int // first slot-bitset word:     node * st.bitStr
 
 	neighbors []*Router // per network port; nil where no link exists
 
@@ -114,6 +115,14 @@ type Router struct {
 
 	candBuf []routing.Candidate
 	stats   Stats
+
+	// Per-input-port switch-allocation scratch, deg+1 entries each, reset
+	// by every staging pass: inUsed marks ports that already sent a flit
+	// this cycle; inConn and inConnPkt are the packet-by-packet policy's
+	// connection count and owning packet per input port.
+	inUsed    []bool
+	inConn    []int32
+	inConnPkt []*packet.Packet
 
 	// Telemetry instrumentation, maintained by TickTimers (which already
 	// visits every input VC each cycle, so this costs almost nothing):
@@ -150,8 +159,12 @@ func NewWithState(node topology.Node, topo topology.Graph, cfg Config, alg routi
 		db0:         int(node) * st.lanes,
 		cx0:         int(node) * deg,
 		sw0:         int(node) * (deg + 1),
+		b0:          int(node) * st.bitStr,
 		neighbors:   make([]*Router, deg),
 		candBuf:     make([]routing.Candidate, 0, 4*deg*cfg.VCs),
+		inUsed:      make([]bool, deg+1),
+		inConn:      make([]int32, deg+1),
+		inConnPkt:   make([]*packet.Packet, deg+1),
 		hamNextPort: -1,
 		hamPrevPort: -1,
 	}
@@ -304,13 +317,13 @@ var _ routing.View = (*Router)(nil)
 // a header — some injection VC must be idle.
 func (r *Router) InjectFlit(fl packet.Flit, now sim.Cycle) bool {
 	s := r.st
-	base := r.inIdx(r.deg, 0)
+	base := r.inLocal(r.deg, 0)
 	if fl.IsHeader() {
 		for v := 0; v < s.injVCs; v++ {
-			i := base + v
+			i := r.in0 + base + v
 			if s.inPkt[i] == nil && s.inLen[i] == 0 {
 				s.inPkt[i] = fl.Pkt
-				s.inPush(i, fl)
+				r.inPush(base+v, fl)
 				s.flitCount[r.node]++
 				fl.Pkt.InjectedAt = now
 				return true
@@ -319,9 +332,9 @@ func (r *Router) InjectFlit(fl packet.Flit, now sim.Cycle) bool {
 		return false
 	}
 	for v := 0; v < s.injVCs; v++ {
-		i := base + v
+		i := r.in0 + base + v
 		if s.inPkt[i] == fl.Pkt && int(s.inLen[i]) < s.depth {
-			s.inPush(i, fl)
+			r.inPush(base+v, fl)
 			s.flitCount[r.node]++
 			return true
 		}
@@ -346,7 +359,7 @@ func (r *Router) InputRoute(port, vc int) (route, outVC int) {
 // first divergent field between two lockstepped kernels.
 func (r *Router) InputTimer(port, vc int) (waiting sim.Cycle, presumed, sent bool) {
 	i := r.inIdx(port, vc)
-	return r.st.inWaiting[i], r.st.inPresumed[i], r.st.inSent[i]
+	return r.st.inWaiting[i], r.st.inPresumed[i], r.bitOn(setSent, r.inLocal(port, vc))
 }
 
 // InputOccupancy returns the number of buffered flits in input VC (port, vc).
@@ -403,6 +416,29 @@ func (r *Router) InputVCCount(port int) int { return r.st.inVCCount(r.deg, port)
 // Quiescent reports whether the router holds no flits at all. O(1): backed
 // by the maintained flit counter rather than a buffer walk.
 func (r *Router) Quiescent() bool { return r.st.flitCount[r.node] == 0 }
+
+// FlitCount returns the number of flits buffered anywhere in the router —
+// input VCs and Deadlock Buffer lanes. It is maintained incrementally at
+// every buffer push/pop, so it is O(1); CheckInvariants cross-checks it
+// against a full buffer walk.
+func (r *Router) FlitCount() int { return int(r.st.flitCount[r.node]) }
+
+// CrossbarIdle reports whether the packet-by-packet crossbar holds no
+// connection state: no wired input, no Deadlock Buffer connection, and an
+// empty reconfiguration buffer on every output. A drained router with a
+// dirty crossbar still mutates state on its next staging pass (stale
+// connections are released there). Under flit-by-flit allocation the
+// crossbar state is never populated and this is always true.
+func (r *Router) CrossbarIdle() bool {
+	s := r.st
+	for q := 0; q < r.deg; q++ {
+		i := r.cx0 + q
+		if s.cxInPort[i] != connNone || s.cxDB[i] || s.cxSaved[i] {
+			return false
+		}
+	}
+	return true
+}
 
 // String identifies the router by coordinate (or node id on a
 // coordinate-free graph) and algorithm for logs.

@@ -63,8 +63,8 @@ func (b *testBench) step() {
 	}
 	b.res.Reset()
 	b.res.Resolve(xfers)
-	for _, t := range xfers {
-		Commit(t, b)
+	for i := range xfers {
+		Commit(&xfers[i], b)
 	}
 	for _, r := range b.routers {
 		r.TickTimers()

@@ -39,7 +39,7 @@ func (r *Router) EncodeState(w *snapshot.Writer) {
 		w.Int(int(s.inDBLane[i]))
 		w.I64(int64(s.inWaiting[i]))
 		w.Bool(s.inPresumed[i])
-		w.Bool(s.inSent[i])
+		w.Bool(r.bitOn(setSent, l))
 		w.Int(int(s.inLen[i]))
 		for k := 0; k < int(s.inLen[i]); k++ {
 			fl := s.inAt(i, k)
@@ -121,11 +121,13 @@ func (r *Router) DecodeState(rd *snapshot.Reader, resolve func(id int64) *packet
 		}
 		return p
 	}
-	// getInFifo/getDBFifo drain ring i (zeroing its slots) and refill it from
-	// the stream.
-	getInFifo := func(i int) {
+	// getInFifo/getDBFifo drain a ring (zeroing its slots) and refill it
+	// from the stream: getInFifo takes the router-local input slot l,
+	// getDBFifo the global lane slot i.
+	getInFifo := func(l int) {
+		i := r.in0 + l
 		for s.inLen[i] > 0 {
-			s.inPop(i)
+			r.inPop(l)
 		}
 		s.inHead[i] = 0
 		n := rd.Len(s.depth)
@@ -143,7 +145,7 @@ func (r *Router) DecodeState(rd *snapshot.Reader, resolve func(id int64) *packet
 				rd.Fail("snapshot: router %d flit seq %d outside packet length %d", r.node, seq, p.Length)
 				return
 			}
-			s.inPush(i, packet.Flit{Pkt: p, Seq: seq})
+			r.inPush(l, packet.Flit{Pkt: p, Seq: seq})
 		}
 	}
 	getDBFifo := func(i int) {
@@ -180,7 +182,11 @@ func (r *Router) DecodeState(rd *snapshot.Reader, resolve func(id int64) *packet
 	for l := 0; l < s.stride; l++ {
 		i := r.in0 + l
 		s.inPkt[i] = getPkt()
-		s.inRoute[i] = int32(checkPort(rd.Int(), "input route"))
+		// Validate the route before setRoute indexes a request bitset with
+		// it: a corrupt stream must error, not index past the array.
+		if route := checkPort(rd.Int(), "input route"); rd.Err() == nil {
+			r.setRoute(l, route)
+		}
 		outVC := rd.Int()
 		if rd.Err() == nil && (outVC < VCDeadlockBuffer || outVC >= r.cfg.VCs) {
 			rd.Fail("snapshot: router %d output VC %d out of range", r.node, outVC)
@@ -193,8 +199,12 @@ func (r *Router) DecodeState(rd *snapshot.Reader, resolve func(id int64) *packet
 		s.inDBLane[i] = int32(dbLane)
 		s.inWaiting[i] = readCycle(rd)
 		s.inPresumed[i] = rd.Bool()
-		s.inSent[i] = rd.Bool()
-		getInFifo(i)
+		sent := rd.Bool()
+		r.setBit(setSent, l, sent)
+		getInFifo(l)
+		if rd.Err() == nil && !sent && s.inLen[i] == 0 && (s.inWaiting[i] != 0 || s.inPresumed[i]) {
+			rd.Fail("snapshot: router %d input slot %d is empty but holds timer state", r.node, l)
+		}
 		if err := rd.Err(); err != nil {
 			return err
 		}

@@ -26,9 +26,23 @@ import (
 //	             l = deg*VCs + v for the injection port. Global index of
 //	             router r's slot l is r*stride + l. Per-slot fields live in
 //	             parallel arrays (inPkt, inRoute, inOutVC, inDBLane,
-//	             inWaiting, inPresumed, inSent); the fixed-capacity flit
-//	             rings live in inFlits (depth flits per slot, contiguous)
-//	             with ring cursors in inHead/inLen.
+//	             inWaiting, inPresumed); the fixed-capacity flit rings
+//	             live in inFlits (depth flits per slot, contiguous) with
+//	             ring cursors in inHead/inLen.
+//	slot bitsets bitW = (stride+63)/64 words per set, deg+4 sets per
+//	             router, router-major (bitStr = (deg+4)*bitW words per
+//	             router): occ (ring non-empty), routed (inRoute !=
+//	             PortUnrouted), sent (a flit left this cycle), then one
+//	             request set per output port q < deg (inRoute == q) and
+//	             one for the reception channel (inRoute == PortEject).
+//	             Bit l of a set is router-local slot l. They are derived
+//	             state maintained at the only mutation points — inPush,
+//	             inPop and setRoute (sent: the staging and timer passes) —
+//	             so the scan phases visit only set bits
+//	             (bits.TrailingZeros64) instead of every slot. The
+//	             request sets make this O(deg*stride) bits per router,
+//	             which only matters for very high-degree graphs (a
+//	             1024-node full mesh with 4 VCs needs 0.5 MiB/router).
 //	output VCs   deg*VCs slots per router (outOwner, outCredits).
 //	DB lanes     lanes slots per router (dbPkt, dbRoute) with dbDepth-flit
 //	             rings in dbFlits/dbHead/dbLen.
@@ -54,6 +68,8 @@ type State struct {
 	dbDepth int // Deadlock Buffer depth in flits
 	stride  int // input VC slots per router: deg*vcs + injVCs
 	outStr  int // output VC slots per router: deg*vcs
+	bitW    int // words per slot bitset: (stride+63)/64
+	bitStr  int // bitset words per router: (deg+setReq0+1)*bitW
 
 	// Input VC state, nodes*stride slots.
 	inPkt      []*packet.Packet
@@ -62,10 +78,12 @@ type State struct {
 	inDBLane   []int32 // recovery lane when inOutVC == VCDeadlockBuffer
 	inWaiting  []sim.Cycle
 	inPresumed []bool
-	inSent     []bool
 	inHead     []int32
 	inLen      []int32
 	inFlits    []packet.Flit // depth flits per slot
+
+	// Slot bitsets, nodes*bitStr words (see the layout above).
+	bits []uint64
 
 	// Output VC state, nodes*outStr slots.
 	outOwner   []*packet.Packet
@@ -119,6 +137,8 @@ func NewState(topo topology.Graph, cfg Config) *State {
 		stride:  deg*cfg.VCs + cfg.InjectionVCs,
 		outStr:  deg * cfg.VCs,
 	}
+	s.bitW = (s.stride + 63) / 64
+	s.bitStr = (deg + setReq0 + 1) * s.bitW
 	in := nodes * s.stride
 	s.inPkt = make([]*packet.Packet, in)
 	s.inRoute = make([]int32, in)
@@ -126,10 +146,10 @@ func NewState(topo topology.Graph, cfg Config) *State {
 	s.inDBLane = make([]int32, in)
 	s.inWaiting = make([]sim.Cycle, in)
 	s.inPresumed = make([]bool, in)
-	s.inSent = make([]bool, in)
 	s.inHead = make([]int32, in)
 	s.inLen = make([]int32, in)
 	s.inFlits = make([]packet.Flit, in*s.depth)
+	s.bits = make([]uint64, nodes*s.bitStr)
 	for i := range s.inRoute {
 		s.inRoute[i] = PortUnrouted
 		s.inOutVC[i] = VCUnrouted
@@ -174,13 +194,16 @@ func NewState(topo topology.Graph, cfg Config) *State {
 
 // --- Index helpers -----------------------------------------------------------
 
-// inIdx returns the global input VC slot of (port, vc) at router r.
-func (r *Router) inIdx(port, vc int) int {
+// inLocal returns the router-local input VC slot of (port, vc).
+func (r *Router) inLocal(port, vc int) int {
 	if port == r.deg {
-		return r.in0 + r.deg*r.st.vcs + vc
+		return r.deg*r.st.vcs + vc
 	}
-	return r.in0 + port*r.st.vcs + vc
+	return port*r.st.vcs + vc
 }
+
+// inIdx returns the global input VC slot of (port, vc) at router r.
+func (r *Router) inIdx(port, vc int) int { return r.in0 + r.inLocal(port, vc) }
 
 // outIdx returns the global output VC slot of (port, vc) at router r.
 func (r *Router) outIdx(port, vc int) int { return r.out0 + port*r.st.vcs + vc }
@@ -213,15 +236,99 @@ func (s *State) inVCCount(deg, p int) int {
 	return s.vcs
 }
 
+// --- Slot bitsets ------------------------------------------------------------
+
+// Bitset indices within a router's block; request sets follow at setReq0+q
+// for output q < deg and setReq0+deg for the reception channel.
+const (
+	setOcc = iota
+	setRouted
+	setSent
+	setReq0
+)
+
+// bitset returns router r's slot bitset k (setOcc, setRouted, setSent or
+// reqSet(route)).
+func (r *Router) bitset(k int) []uint64 {
+	o := r.b0 + k*r.st.bitW
+	return r.st.bits[o : o+r.st.bitW]
+}
+
+// reqSet returns the request bitset index of a granted route: output q, or
+// the reception channel for PortEject.
+func (r *Router) reqSet(route int) int {
+	if route == PortEject {
+		return setReq0 + r.deg
+	}
+	return setReq0 + route
+}
+
+// bitOn reports whether router-local slot l is set in bitset k.
+func (r *Router) bitOn(k, l int) bool {
+	return r.st.bits[r.b0+k*r.st.bitW+l>>6]&(1<<(uint(l)&63)) != 0
+}
+
+// setBit sets or clears router-local slot l in bitset k.
+func (r *Router) setBit(k, l int, on bool) {
+	w := &r.st.bits[r.b0+k*r.st.bitW+l>>6]
+	if on {
+		*w |= 1 << (uint(l) & 63)
+	} else {
+		*w &^= 1 << (uint(l) & 63)
+	}
+}
+
+// setRoute stores input slot l's granted route, keeping the routed and
+// request bitsets in step. It is the only writer of inRoute.
+func (r *Router) setRoute(l, route int) {
+	s := r.st
+	g := r.in0 + l
+	if old := int(s.inRoute[g]); old != PortUnrouted {
+		r.setBit(r.reqSet(old), l, false)
+	}
+	if route != PortUnrouted {
+		r.setBit(r.reqSet(route), l, true)
+	}
+	r.setBit(setRouted, l, route != PortUnrouted)
+	s.inRoute[g] = int32(route)
+}
+
+// span returns the bits of bitset word w that fall in the slot range
+// [lo, hi). The optimized scans visit a range of set bits as
+//
+//	for w := lo >> 6; w<<6 < hi; w++ {
+//		for x := set[w] & span(w, lo, hi); x != 0; x &= x - 1 {
+//			l := w<<6 + bits.TrailingZeros64(x)
+//
+// and a round-robin rotation starting at slot off as the two ranges
+// [off, total) and [0, off), in that order.
+func span(w, lo, hi int) uint64 {
+	m := ^uint64(0)
+	if b := lo - w<<6; b > 0 {
+		m <<= uint(b)
+	}
+	if e := hi - w<<6; e < 64 {
+		m &= 1<<uint(e) - 1
+	}
+	return m
+}
+
 // --- Input VC flit rings -----------------------------------------------------
 
-// inPush appends a flit to input VC ring i.
-func (s *State) inPush(i int, fl packet.Flit) {
+// inPush appends a flit to router-local input VC ring l.
+func (r *Router) inPush(l int, fl packet.Flit) {
+	s := r.st
+	i := r.in0 + l
 	if int(s.inLen[i]) == s.depth {
 		panic("router: push to full fifo")
 	}
-	s.inFlits[i*s.depth+(int(s.inHead[i])+int(s.inLen[i]))%s.depth] = fl
+	k := int(s.inHead[i]) + int(s.inLen[i])
+	if k >= s.depth {
+		k -= s.depth
+	}
+	s.inFlits[i*s.depth+k] = fl
 	s.inLen[i]++
+	r.setBit(setOcc, l, true)
 }
 
 // inPeek returns the head flit of input VC ring i.
@@ -240,13 +347,22 @@ func (s *State) inAt(i, k int) packet.Flit {
 	return s.inFlits[i*s.depth+(int(s.inHead[i])+k)%s.depth]
 }
 
-// inPop removes and returns the head flit of input VC ring i, zeroing the
-// vacated slot so no stale packet pointer outlives its buffered flit.
-func (s *State) inPop(i int) packet.Flit {
+// inPop removes and returns the head flit of router-local input VC ring l,
+// zeroing the vacated slot so no stale packet pointer outlives its
+// buffered flit.
+func (r *Router) inPop(l int) packet.Flit {
+	s := r.st
+	i := r.in0 + l
 	fl := s.inPeek(i)
 	s.inFlits[i*s.depth+int(s.inHead[i])] = packet.Flit{}
-	s.inHead[i] = int32((int(s.inHead[i]) + 1) % s.depth)
+	s.inHead[i]++
+	if int(s.inHead[i]) == s.depth {
+		s.inHead[i] = 0
+	}
 	s.inLen[i]--
+	if s.inLen[i] == 0 {
+		r.setBit(setOcc, l, false)
+	}
 	return fl
 }
 
@@ -291,8 +407,9 @@ func (s *State) dbPop(i int) packet.Flit {
 // CheckState cross-checks the router's slice of the shared struct-of-arrays
 // buffers against what the view API exposes: ring cursors in range, vacated
 // ring slots zeroed (no stale packet pointers), route/VC grants within their
-// sentinel-extended domains, credits within [0, depth], and the maintained
-// flit counter consistent with the rings. The network's CheckInvariants calls
+// sentinel-extended domains, credits within [0, depth], the maintained
+// flit counter consistent with the rings, and the slot bitsets consistent
+// with the arrays they summarize (see checkSlotBits). The network's CheckInvariants calls
 // it for every router, so a scan-path bug that corrupts the flat layout
 // without (yet) changing observable behavior is still caught near its origin.
 func (r *Router) CheckState() error {
@@ -319,6 +436,16 @@ func (r *Router) CheckState() error {
 		}
 		if ln := int(s.inDBLane[i]); ln < 0 || (ln > 0 && ln >= s.lanes) {
 			return fmt.Errorf("router %d input (%d,%d): DB lane %d outside the router's %d lanes", r.node, p, v, ln, s.lanes)
+		}
+		if err := r.checkSlotBits(l); err != nil {
+			return err
+		}
+	}
+	for k := 0; k < setReq0+s.deg+1; k++ {
+		for l := s.stride; l < s.bitW*64; l++ {
+			if r.bitOn(k, l) {
+				return fmt.Errorf("router %d: bitset %d has bit %d set past the %d slots", r.node, k, l, s.stride)
+			}
 		}
 	}
 	for l := 0; l < s.outStr; l++ {
@@ -357,6 +484,34 @@ func (r *Router) CheckState() error {
 		if sp := int(s.cxSavedPort[i]); s.cxSaved[i] && (sp < 0 || sp > s.deg) {
 			return fmt.Errorf("router %d crossbar %d: saved port %d outside [0,%d]", r.node, q, sp, s.deg)
 		}
+	}
+	return nil
+}
+
+// checkSlotBits cross-checks router-local slot l's bitset bits against the
+// per-slot arrays: occ ⇔ a non-empty ring, routed and exactly the matching
+// request bit ⇔ inRoute, and the invariant TickTimers' skip of idle slots
+// relies on — an empty slot that sent nothing this cycle carries no timer
+// state (T_elapsed zero, not presumed).
+func (r *Router) checkSlotBits(l int) error {
+	s := r.st
+	i := r.in0 + l
+	p, v := r.portVCOf(l)
+	if occ := s.inLen[i] > 0; r.bitOn(setOcc, l) != occ {
+		return fmt.Errorf("router %d input (%d,%d): occupancy bit %v, ring length %d", r.node, p, v, !occ, s.inLen[i])
+	}
+	route := int(s.inRoute[i])
+	if r.bitOn(setRouted, l) != (route != PortUnrouted) {
+		return fmt.Errorf("router %d input (%d,%d): routed bit disagrees with route %d", r.node, p, v, route)
+	}
+	for q := 0; q <= s.deg; q++ {
+		want := route == q || (q == s.deg && route == PortEject)
+		if r.bitOn(setReq0+q, l) != want {
+			return fmt.Errorf("router %d input (%d,%d): request bit for output %d disagrees with route %d", r.node, p, v, q, route)
+		}
+	}
+	if s.inLen[i] == 0 && !r.bitOn(setSent, l) && (s.inWaiting[i] != 0 || s.inPresumed[i]) {
+		return fmt.Errorf("router %d input (%d,%d): idle slot holds timer state (T_elapsed %d, presumed %v)", r.node, p, v, s.inWaiting[i], s.inPresumed[i])
 	}
 	return nil
 }

@@ -60,7 +60,7 @@ func (r *Router) AppendState(b []byte) []byte {
 		put(int64(s.inDBLane[i]))
 		put(int64(s.inWaiting[i]))
 		putBool(s.inPresumed[i])
-		putBool(s.inSent[i])
+		putBool(r.bitOn(setSent, l))
 		put(int64(s.inLen[i]))
 		for k := 0; k < int(s.inLen[i]); k++ {
 			fl := s.inAt(i, k)
