@@ -393,22 +393,19 @@ func BenchmarkAblationFaultTolerance(b *testing.B) {
 }
 
 // stepBenchAt measures steady-state Step cost on a torus at the given
-// offered load, kernel shard count (0 = serial kernel) and scan path
-// (refScan = retained reference path instead of the optimized
-// struct-of-arrays scans). b.ReportAllocs surfaces the zero-allocation
+// offered load and scan path (refScan = retained reference path instead of
+// the optimized struct-of-arrays scans). b.ReportAllocs surfaces the zero-allocation
 // steady-state property alongside ns/cycle.
-func stepBenchAt(b *testing.B, radix, shards int, load float64, refScan bool) {
+func stepBenchAt(b *testing.B, radix int, load float64, refScan bool) {
 	b.Helper()
 	topo := disha.Torus(radix, radix)
 	sim, err := disha.NewSimulator(disha.SimConfig{
 		Topo: topo, Algorithm: disha.DishaRouting(0), Pattern: disha.Uniform(topo),
-		LoadRate: load, MsgLen: 32, Timeout: 8, Seed: 1, Shards: shards,
-		ReferenceScan: refScan,
+		LoadRate: load, MsgLen: 32, Timeout: 8, Seed: 1, ReferenceScan: refScan,
 	})
 	if err != nil {
 		b.Fatal(err)
 	}
-	b.Cleanup(sim.Close)
 	sim.Run(2000) // steady state
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -439,17 +436,16 @@ func stepBenchGrid(b *testing.B, bench func(b *testing.B, radix int, load float6
 // every profileEvery cycles (0 = profiler off). The on/off twins isolate
 // the profiler's own Step overhead from the base telemetry cost; CI gates
 // their ratio.
-func stepBenchProfiled(b *testing.B, radix, shards int, load float64, profileEvery int) {
+func stepBenchProfiled(b *testing.B, radix int, load float64, profileEvery int) {
 	b.Helper()
 	topo := disha.Torus(radix, radix)
 	sim, err := disha.NewSimulator(disha.SimConfig{
 		Topo: topo, Algorithm: disha.DishaRouting(0), Pattern: disha.Uniform(topo),
-		LoadRate: load, MsgLen: 32, Timeout: 8, Seed: 1, Shards: shards,
+		LoadRate: load, MsgLen: 32, Timeout: 8, Seed: 1,
 	})
 	if err != nil {
 		b.Fatal(err)
 	}
-	b.Cleanup(sim.Close)
 	sim.EnableTelemetry(disha.TelemetryOptions{ProfileEvery: profileEvery})
 	sim.Run(2000) // steady state
 	b.ReportAllocs()
@@ -462,20 +458,10 @@ func stepBenchProfiled(b *testing.B, radix, shards int, load float64, profileEve
 
 // BenchmarkStepSerial is the serial kernel over the load × size grid: the
 // optimized struct-of-arrays bitset scans, every router visited every
-// cycle, no worker pool. CI benchgates the sharded kernel against these
-// numbers, and these numbers against the reference scan path.
+// cycle. CI benchgates these numbers against the reference scan path.
 func BenchmarkStepSerial(b *testing.B) {
 	stepBenchGrid(b, func(b *testing.B, radix int, load float64) {
-		stepBenchAt(b, radix, 0, load, false)
-	})
-}
-
-// BenchmarkStepSharded runs the identical simulations under the sharded
-// kernel (4 worker shards). Results are byte-identical to serial; only the
-// wall time may differ.
-func BenchmarkStepSharded(b *testing.B) {
-	stepBenchGrid(b, func(b *testing.B, radix int, load float64) {
-		stepBenchAt(b, radix, 4, load, false)
+		stepBenchAt(b, radix, load, false)
 	})
 }
 
@@ -487,7 +473,7 @@ func BenchmarkStepSharded(b *testing.B) {
 // = 1.67x (ratio <= 0.6), with additional guard gates at 0.1 and 0.9 load.
 func BenchmarkStepReference(b *testing.B) {
 	stepBenchGrid(b, func(b *testing.B, radix int, load float64) {
-		stepBenchAt(b, radix, 0, load, true)
+		stepBenchAt(b, radix, load, true)
 	})
 }
 
@@ -499,8 +485,8 @@ func BenchmarkStepReference(b *testing.B) {
 // stay within 11% of off — i.e. profiler-on Step throughput must remain
 // >= 0.9x profiler-off.
 func BenchmarkStepProfiled(b *testing.B) {
-	b.Run("off", func(b *testing.B) { stepBenchProfiled(b, 16, 0, 0.5, 0) })
-	b.Run("on", func(b *testing.B) { stepBenchProfiled(b, 16, 0, 0.5, 32) })
+	b.Run("off", func(b *testing.B) { stepBenchProfiled(b, 16, 0.5, 0) })
+	b.Run("on", func(b *testing.B) { stepBenchProfiled(b, 16, 0.5, 32) })
 }
 
 // BenchmarkAblationAdaptiveTimeout compares fixed vs self-tuning T_out at

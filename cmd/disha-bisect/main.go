@@ -11,14 +11,14 @@
 //	# when does misrouting first change global state?
 //	disha-bisect -radix 8 -load 0.7 -cycles 5000 -a misroutes=0 -b misroutes=3
 //
-//	# prove the sharded kernel is digest-invariant (expect "identical")
-//	disha-bisect -cycles 2000 -a shards=1 -b shards=4
+//	# does the selection function matter before saturation?
+//	disha-bisect -load 0.3 -cycles 2000 -a sel=random -b sel=min-congestion
 //
 //	# recovery-mode comparison at a fine granularity
 //	disha-bisect -load 0.9 -a recovery=sequential -b recovery=abort-retry -granularity 64
 //
 // Override keys: topo, alg, misroutes, sel, traffic, load, msglen, vcs,
-// depth, timeout, recovery, throttle, rx, seed, shards.
+// depth, timeout, recovery, throttle, rx, seed.
 //
 // Exit status: 0 if the runs are digest-identical for the full -cycles
 // window, 1 if they diverge (the first divergent cycle is printed), 2 on
@@ -58,7 +58,6 @@ type sideConfig struct {
 	throttle    int
 	rx          int
 	seed        uint64
-	shards      int
 }
 
 func main() {
@@ -100,7 +99,7 @@ func main() {
 		traffic: *trafName, hotFrac: *hotFrac, load: *load,
 		msgLen: *msgLen, vcs: *vcs, depth: *depth, timeout: *timeout,
 		recovery: *recovMode, throttle: *throttle, rx: *rx,
-		seed: *seed, shards: 0,
+		seed: *seed,
 	}
 	if *granularity < 1 {
 		fail(fmt.Errorf("-granularity must be at least 1"))
@@ -130,10 +129,8 @@ func main() {
 
 	simA, err := buildSim(cfgA)
 	fail(err)
-	defer simA.Close()
 	simB, err := buildSim(cfgB)
 	fail(err)
-	defer simB.Close()
 	arm(simA)
 	arm(simB)
 
@@ -179,10 +176,8 @@ func main() {
 	// snapshots, and single-step to the first cycle whose digests differ.
 	simA2, err := buildSim(cfgA)
 	fail(err)
-	defer simA2.Close()
 	simB2, err := buildSim(cfgB)
 	fail(err)
-	defer simB2.Close()
 	fail(simA2.Restore(bytes.NewReader(lastEqualA.Bytes())))
 	fail(simB2.Restore(bytes.NewReader(lastEqualB.Bytes())))
 	arm(simA2)
@@ -245,8 +240,6 @@ func applyOverrides(base sideConfig, s string) (sideConfig, error) {
 			cfg.rx, err = strconv.Atoi(v)
 		case "seed":
 			cfg.seed, err = strconv.ParseUint(v, 10, 64)
-		case "shards":
-			cfg.shards, err = strconv.Atoi(v)
 		default:
 			return cfg, fmt.Errorf("unknown override key %q", k)
 		}
@@ -263,13 +256,13 @@ func describe(c sideConfig) string {
 		shape = "mesh"
 	}
 	if c.topo != "" {
-		return fmt.Sprintf("%s | %s(M=%d) sel=%s | %s load=%.2f msg=%d | vc=%d depth=%d T=%d %s | seed=%d shards=%d",
+		return fmt.Sprintf("%s | %s(M=%d) sel=%s | %s load=%.2f msg=%d | vc=%d depth=%d T=%d %s | seed=%d",
 			c.topo, c.alg, c.misroutes, c.sel,
-			c.traffic, c.load, c.msgLen, c.vcs, c.depth, c.timeout, c.recovery, c.seed, c.shards)
+			c.traffic, c.load, c.msgLen, c.vcs, c.depth, c.timeout, c.recovery, c.seed)
 	}
-	return fmt.Sprintf("%s %dx%d | %s(M=%d) sel=%s | %s load=%.2f msg=%d | vc=%d depth=%d T=%d %s | seed=%d shards=%d",
+	return fmt.Sprintf("%s %dx%d | %s(M=%d) sel=%s | %s load=%.2f msg=%d | vc=%d depth=%d T=%d %s | seed=%d",
 		shape, c.radix, c.radix, c.alg, c.misroutes, c.sel,
-		c.traffic, c.load, c.msgLen, c.vcs, c.depth, c.timeout, c.recovery, c.seed, c.shards)
+		c.traffic, c.load, c.msgLen, c.vcs, c.depth, c.timeout, c.recovery, c.seed)
 }
 
 func buildSim(c sideConfig) (*disha.Simulator, error) {
@@ -388,7 +381,6 @@ func buildSim(c sideConfig) (*disha.Simulator, error) {
 		ReceptionChannels: c.rx,
 		InjectionThrottle: c.throttle,
 		Seed:              c.seed,
-		Shards:            c.shards,
 	})
 }
 

@@ -56,7 +56,6 @@ func main() {
 		rx        = flag.Int("rx", 1, "reception channels per node")
 		drain     = flag.Int("drain", 0, "extra cycles to drain after stopping injection (0 = no drain)")
 		seed      = flag.Uint64("seed", 1, "random seed")
-		shards    = flag.Int("shards", 0, "kernel worker shards per cycle (0/1 = serial; any value gives identical results)")
 		refScan   = flag.Bool("reference-scan", false, "use the retained reference scan path instead of the optimized struct-of-arrays scans (identical results; exists for conformance testing and benchmarking)")
 		wfg       = flag.Bool("wfg", false, "run the wait-for-graph analyzer at the end")
 
@@ -81,6 +80,7 @@ func main() {
 		fmt.Println(telemetry.Build().String())
 		return
 	}
+	fail(checkSizes(*vcs, *depth, *msgLen, *rx, *cycles))
 
 	var topo disha.Graph
 	var err error
@@ -163,11 +163,9 @@ func main() {
 		ReceptionChannels: *rx,
 		InjectionThrottle: *throttle,
 		Seed:              *seed,
-		Shards:            *shards,
 		ReferenceScan:     *refScan,
 	})
 	fail(err)
-	defer sim.Close()
 
 	// Restore must happen while the simulator is still fresh: the snapshot
 	// carries a configuration guard, so mismatched flags fail loudly here.
@@ -323,6 +321,25 @@ func coordinated(g disha.Graph, traffic string) disha.Topology {
 		fail(fmt.Errorf("%s traffic needs cube coordinates, which %s does not have (try uniform or bit-reversal)", traffic, g.Name()))
 	}
 	return t
+}
+
+// checkSizes rejects sizing flags the simulator would not run as given:
+// SimConfig replaces a zero VC count, buffer depth, message length or
+// reception-channel count with its default, which the report banner and the
+// -trace-out meta would then misstate, and negative -cycles would silently
+// run nothing.
+func checkSizes(vcs, depth, msgLen, rx, cycles int) error {
+	for _, f := range []struct {
+		name   string
+		v, min int
+	}{
+		{"vcs", vcs, 1}, {"depth", depth, 1}, {"msglen", msgLen, 1}, {"rx", rx, 1}, {"cycles", cycles, 0},
+	} {
+		if f.v < f.min {
+			return fmt.Errorf("-%s %d: must be at least %d", f.name, f.v, f.min)
+		}
+	}
+	return nil
 }
 
 func parseRecovery(s string) disha.RecoveryMode {

@@ -50,7 +50,6 @@ func main() {
 		quiet     = flag.Bool("quiet", false, "suppress per-point progress")
 		charts    = flag.Bool("plot", true, "render ASCII charts of each figure")
 		parallel  = flag.Int("parallel", 0, "engine workers (0 = all cores, 1 = serial; results are identical either way)")
-		shards    = flag.Int("shards", 0, "kernel worker shards inside each simulation (0/1 = serial; results are identical; keep parallel*shards within the core count)")
 		replicas  = flag.Int("replicas", 1, "independent runs per point, aggregated into mean ± 95% CI")
 		retries   = flag.Int("retries", 1, "extra attempts for a failing point")
 		journal   = flag.String("journal", "", "JSONL checkpoint file for completed points (optional)")
@@ -132,7 +131,6 @@ func main() {
 		if *measure > 0 {
 			spec.Measure = *measure
 		}
-		spec.Shards = *shards
 		spec.Chaos = chaosEvents
 		fmt.Printf("== figure %s: %s ==\n", name, spec.Name)
 		progress := func(s string) { fmt.Println("  " + s) }

@@ -35,7 +35,6 @@ func main() {
 		id          = flag.String("id", "", "worker identity, unique within the fleet (default hostname-pid)")
 		parallel    = flag.Int("parallel", 1, "points to execute concurrently")
 		ckptDir     = flag.String("checkpoint-dir", "", "local directory for mid-point checkpoint files (default: per-run temp dir)")
-		shards      = flag.Int("shards", 0, "intra-point parallel kernel shards (0/1 = serial; results identical either way)")
 		version     = flag.Bool("version", false, "print build metadata and exit")
 	)
 	flag.Parse()
@@ -55,7 +54,6 @@ func main() {
 		ID:            *id,
 		Parallel:      *parallel,
 		CheckpointDir: *ckptDir,
-		Shards:        *shards,
 		Logf:          logger.Printf,
 	})
 

@@ -269,11 +269,6 @@ type SimConfig struct {
 	Seed uint64
 	// TokenHopsPerCycle is the recovery Token's speed (default 4).
 	TokenHopsPerCycle int
-	// Shards fans the router-local simulation phases out across this many
-	// worker shards per cycle. Results are byte-identical to serial for any
-	// value; 0 or 1 keeps the serial kernel. Call Close when done to stop
-	// the worker pool.
-	Shards int
 	// ReferenceScan runs the router-local phases through the retained
 	// reference scan path instead of the optimized struct-of-arrays scans.
 	// Byte-identical to the default path; exists as the baseline for the
@@ -325,10 +320,7 @@ func NewSimulator(cfg SimConfig) (*Simulator, error) {
 		TokenHopsPerCycle: cfg.TokenHopsPerCycle,
 		InjectionThrottle: cfg.InjectionThrottle,
 		Burst:             cfg.Burst,
-		Kernel: network.KernelConfig{
-			Shards:        cfg.Shards,
-			ReferenceScan: cfg.ReferenceScan,
-		},
+		Kernel:            network.KernelConfig{ReferenceScan: cfg.ReferenceScan},
 	})
 	if err != nil {
 		return nil, err
@@ -339,8 +331,8 @@ func NewSimulator(cfg SimConfig) (*Simulator, error) {
 // Run advances the simulation the given number of cycles.
 func (s *Simulator) Run(cycles int) { s.net.Run(cycles) }
 
-// Close releases the sharded kernel's worker pool (a no-op for serial
-// simulators). The simulator must not be stepped after Close.
+// Close is a no-op kept for API compatibility: a simulator holds no
+// goroutines or other resources that need releasing.
 func (s *Simulator) Close() { s.net.Close() }
 
 // Step advances one cycle.
@@ -451,9 +443,10 @@ func (s *Simulator) ReconfigLog() []ReconfigOutcome {
 func (s *Simulator) Snapshot(w io.Writer) error { return s.net.Snapshot(w) }
 
 // Restore loads a Snapshot stream into this simulator. The simulator must
-// be freshly built with the identical SimConfig and never stepped; Shards
-// and ReferenceScan alone may differ, since the sharded and reference-scan
-// kernels are byte-identical to the serial optimized scan. On error the simulator is unusable and must be discarded.
+// be freshly built with the identical SimConfig and never stepped;
+// ReferenceScan alone may differ, since the reference scan is byte-identical
+// to the optimized one. On error the simulator is unusable and must be
+// discarded.
 func (s *Simulator) Restore(r io.Reader) error { return s.net.Restore(r) }
 
 // SaveCheckpoint atomically writes the simulation state to a file: the

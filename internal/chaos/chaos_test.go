@@ -129,7 +129,6 @@ func TestCampaignAcceptance(t *testing.T) {
 
 	cfg := testConfig(topo, 0.35, 11)
 	net := mustNet(t, cfg)
-	defer net.Close()
 	run, err := NewRunner(net, sched)
 	if err != nil {
 		t.Fatal(err)
@@ -178,7 +177,6 @@ func TestCampaignAcceptance(t *testing.T) {
 	// Replay: fresh network, restore the checkpoint, re-arm the same
 	// schedule, drive to the same point — byte-identical state and log.
 	net2 := mustNet(t, cfg)
-	defer net2.Close()
 	if err := net2.Restore(bytes.NewReader(ckpt.Bytes())); err != nil {
 		t.Fatal(err)
 	}
@@ -200,11 +198,11 @@ func TestCampaignAcceptance(t *testing.T) {
 	}
 }
 
-// TestCampaignShardedRaceClean runs a moderate campaign under the sharded
-// kernel and compares against serial — small enough for the race detector,
-// which is the point: chaos mutations must be race-clean under the sharded
-// kernel.
-func TestCampaignShardedRaceClean(t *testing.T) {
+// TestCampaignScanPathsAgree runs a moderate campaign, router kills
+// included, on the optimized and the reference scan paths and demands the
+// same final fingerprint: reconfiguration mutates the struct-of-arrays state
+// both paths scan, so a mutation that one path's bitsets miss shows up here.
+func TestCampaignScanPathsAgree(t *testing.T) {
 	topo := topology.MustTorus(8, 8)
 	sched, err := Generate(CampaignConfig{
 		Topo: topo, Seed: 5, Events: 12, Start: 150, Spacing: 200, RouterKills: true,
@@ -212,11 +210,10 @@ func TestCampaignShardedRaceClean(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	run := func(shards int) string {
+	run := func(refScan bool) string {
 		cfg := testConfig(topo, 0.4, 5)
-		cfg.Kernel.Shards = shards
+		cfg.Kernel.ReferenceScan = refScan
 		net := mustNet(t, cfg)
-		defer net.Close()
 		r, err := NewRunner(net, sched)
 		if err != nil {
 			t.Fatal(err)
@@ -224,8 +221,8 @@ func TestCampaignShardedRaceClean(t *testing.T) {
 		r.Run(4000)
 		return net.FingerprintHex()
 	}
-	if serial, sharded := run(1), run(4); serial != sharded {
-		t.Fatalf("sharded campaign diverged: %s vs %s", serial, sharded)
+	if optimized, reference := run(false), run(true); optimized != reference {
+		t.Fatalf("reference-scan campaign diverged: %s vs %s", optimized, reference)
 	}
 }
 
@@ -239,7 +236,6 @@ func TestRunnerPresenceInvisible(t *testing.T) {
 	}
 
 	raw := mustNet(t, testConfig(topo, 0.4, 5))
-	defer raw.Close()
 	events, err := sched.Reconfig()
 	if err != nil {
 		t.Fatal(err)
@@ -250,7 +246,6 @@ func TestRunnerPresenceInvisible(t *testing.T) {
 	raw.Run(1500)
 
 	observed := mustNet(t, testConfig(topo, 0.4, 5))
-	defer observed.Close()
 	run, err := NewRunner(observed, sched)
 	if err != nil {
 		t.Fatal(err)
@@ -273,7 +268,6 @@ func TestInfeasibleEventsSkippedDeterministically(t *testing.T) {
 		{Cycle: 100, Kind: "kill-link", Node: 0, Port: topology.PortFor(1, 1)},
 	}}
 	net := mustNet(t, testConfig(topo, 0.0, 1))
-	defer net.Close()
 	run, err := NewRunner(net, s)
 	if err != nil {
 		t.Fatal(err)
@@ -325,7 +319,6 @@ func TestCampaignAcceptanceFullMesh(t *testing.T) {
 	}
 
 	digest, net, runner := run()
-	defer net.Close()
 
 	c := net.Counters()
 	if c.PacketsInjected != c.PacketsDelivered+c.PacketsLost {
@@ -350,8 +343,7 @@ func TestCampaignAcceptanceFullMesh(t *testing.T) {
 	}
 
 	// Same seed, same schedule: the rerun must land on the same digest.
-	digest2, net2, _ := run()
-	defer net2.Close()
+	digest2, _, _ := run()
 	if digest2 != digest {
 		t.Fatalf("rerun diverged: %s vs %s", digest2, digest)
 	}

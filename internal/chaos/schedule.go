@@ -3,7 +3,7 @@
 // swaps) applied to a live network mid-run through the dynamic
 // reconfiguration subsystem (internal/network/reconfig.go). Campaigns are
 // deterministic — a (seed, schedule) pair reproduces the identical run
-// byte-for-byte, under any kernel shard count and scheduler setting — and
+// byte-for-byte, on either kernel scan path — and
 // the runner measures, per event, the packets lost, the recovery latency
 // (cycles until no header remains presumed deadlocked) and the time to
 // reconverge (cycles until the Deadlock Buffer lane has fully drained). See

@@ -143,15 +143,14 @@ func TestCheckpointKillDuringWarmup(t *testing.T) {
 	}
 }
 
-// TestCheckpointShardedKernel runs the interrupted sweep with the parallel
-// kernel: checkpoints taken under Shards=2 must resume byte-identically too.
-func TestCheckpointShardedKernel(t *testing.T) {
-	serial, _, err := checkpointSpec().RunWith(RunOptions{Parallel: 1})
+// TestCheckpointKillAfterSecondSave kills the sweep right after its second
+// checkpoint lands, earlier than TestCheckpointResumeIdenticalCSV does, and
+// demands the resumed CSV match an uninterrupted run byte for byte.
+func TestCheckpointKillAfterSecondSave(t *testing.T) {
+	want, _, err := checkpointSpec().RunWith(RunOptions{Parallel: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	sharded := checkpointSpec()
-	sharded.Shards = 2
 
 	dir := t.TempDir()
 	opts := RunOptions{
@@ -170,18 +169,16 @@ func TestCheckpointShardedKernel(t *testing.T) {
 		return nil
 	}
 	defer func() { checkpointSaveHook = nil }()
-	if _, _, err := sharded.RunWith(opts); err == nil {
+	if _, _, err := checkpointSpec().RunWith(opts); err == nil {
 		t.Fatal("killed sweep reported success")
 	}
 	checkpointSaveHook = nil
-	resumed := checkpointSpec()
-	resumed.Shards = 2
-	got, _, err := resumed.RunWith(opts)
+	got, _, err := checkpointSpec().RunWith(opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.CSV() != serial.CSV() {
-		t.Fatal("sharded resumed CSV differs from serial uninterrupted run")
+	if got.CSV() != want.CSV() {
+		t.Fatal("resumed CSV differs from uninterrupted run")
 	}
 }
 

@@ -80,12 +80,6 @@ type Spec struct {
 	// independent seeds and aggregates the replicas into mean ± 95% CI
 	// (default 1). RunOptions.Replicas overrides it.
 	Replicas int
-	// Shards configures the intra-simulation parallel kernel: each run's
-	// Step fans its router-local phases out across this many shards.
-	// Results are byte-identical to serial (0/1); it composes with the
-	// engine's across-point parallelism, so keep Shards*Parallelism within
-	// the host's core count.
-	Shards int
 	// Chaos, when non-empty, arms this reconfiguration event schedule on
 	// every point's network (and re-arms it after a checkpoint resume —
 	// already-applied events replay from the snapshot's reconfiguration log
@@ -530,12 +524,10 @@ func (s *Spec) runPoint(alg AlgSpec, load float64, seed uint64, ck *checkpointer
 		MsgLen:            s.MsgLen,
 		Seed:              seed,
 		TokenHopsPerCycle: s.TokenHops,
-		Kernel:            network.KernelConfig{Shards: s.Shards},
 	})
 	if err != nil {
 		return PointResult{}, err
 	}
-	defer net.Close()
 
 	// The resumable cursor: a fresh start begins at zero everywhere; with
 	// checkpointing enabled, a prior checkpoint reloads the cursor, the

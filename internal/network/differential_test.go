@@ -259,9 +259,7 @@ func TestDifferentialLockstep(t *testing.T) {
 				refCfg.Kernel.ReferenceScan = true
 
 				soa := mustNet(t, soaCfg)
-				defer soa.Close()
 				ref := mustNet(t, refCfg)
-				defer ref.Close()
 
 				for c := 1; c <= cycles; c++ {
 					soa.Step()
@@ -288,9 +286,7 @@ func TestDifferentialLockstep(t *testing.T) {
 func TestDifferentialReportsField(t *testing.T) {
 	cfg := diffCases()[0].build()
 	a := mustNet(t, cfg)
-	defer a.Close()
 	b := mustNet(t, cfg)
-	defer b.Close()
 	a.Run(50)
 	b.Run(50)
 	if a.Fingerprint() != b.Fingerprint() {

@@ -12,8 +12,9 @@ import (
 // counts, recovery-Token state, and every router's full microstate (via
 // router.AppendState). Two networks with equal fingerprints behave
 // identically from here on for equal future inputs; the golden-digest suite
-// uses this to prove the sharded kernel is byte-identical to the serial one
-// and to pin simulation behavior against a committed golden file.
+// uses this to prove the reference scan path is byte-identical to the
+// optimized one and to pin simulation behavior against a committed golden
+// file.
 func (n *Network) Fingerprint() [32]byte {
 	b := make([]byte, 0, 4096)
 	put := func(v int64) {

@@ -70,11 +70,9 @@ func TestRejectsBadRecoveryLane(t *testing.T) {
 	// which puts no adjacency requirement on the lane.
 	cfg := testConfig(badLaneGraph{base, []topology.Node{0, 1, 2, 3}}, routing.Disha(0), 0.2, 1)
 	cfg.Router.Recovery = router.RecoverySequential
-	n, err := New(cfg)
-	if err != nil {
+	if _, err := New(cfg); err != nil {
 		t.Fatalf("identity lane rejected for sequential recovery: %v", err)
 	}
-	n.Close()
 }
 
 // TestDigraphTopologiesDrain runs DISHA with Token recovery end-to-end on
@@ -93,7 +91,6 @@ func TestDigraphTopologiesDrain(t *testing.T) {
 			cfg.Router.BufferDepth = 2
 			cfg.Router.Timeout = 8
 			n := mustNet(t, cfg)
-			defer n.Close()
 			drain(t, n, 400, 20000)
 			if n.Counters().PacketsDelivered == 0 {
 				t.Fatal("no packets delivered")
@@ -120,7 +117,6 @@ func TestDigraphHighDegree(t *testing.T) {
 				cfg.Router.VCs = 1
 				cfg.Router.Alloc = alloc
 				n := mustNet(t, cfg)
-				defer n.Close()
 				for c := 1; c <= 300; c++ {
 					n.Step()
 					if c%100 == 0 {

@@ -109,22 +109,15 @@ func goldenCases() []goldenCase {
 	}
 }
 
-// runCase steps a fresh network for the case's cycle budget with the given
-// shard count, checking structural invariants along the way, and returns the
-// final state fingerprint.
-func runCase(t *testing.T, gc goldenCase, shards int) string {
-	return runCaseKernel(t, gc, KernelConfig{Shards: shards})
-}
-
-// runCaseKernel is runCase with full kernel-knob control: shard count,
-// reference vs optimized scan path. Every combination must land on the same
+// runCase steps a fresh network for the case's cycle budget under the given
+// kernel configuration, checking structural invariants along the way, and
+// returns the final state fingerprint. Both scan paths must land on the same
 // committed digest.
-func runCaseKernel(t *testing.T, gc goldenCase, kern KernelConfig) string {
+func runCase(t *testing.T, gc goldenCase, kern KernelConfig) string {
 	t.Helper()
 	cfg := gc.build()
 	cfg.Kernel = kern
 	n := mustNet(t, cfg)
-	defer n.Close()
 	for i := 0; i < gc.cycles; i++ {
 		n.Step()
 		if i%50 == 49 {
@@ -151,21 +144,14 @@ func readGolden(t *testing.T) map[string]string {
 
 // TestGoldenDigests pins the simulation's full observable behavior — five
 // routing algorithms on cubes plus DISHA on the three non-cube digraph
-// topologies, fixed seeds — against committed SHA-256 digests,
-// and proves the parallel kernel's determinism contract: Shards ∈ {1,2,4,8}
-// must produce byte-identical state to the serial kernel.
+// topologies, fixed seeds — against committed SHA-256 digests on the
+// optimized scan path.
 func TestGoldenDigests(t *testing.T) {
 	digests := make(map[string]string)
 	for _, gc := range goldenCases() {
 		gc := gc
 		t.Run(gc.name, func(t *testing.T) {
-			serial := runCase(t, gc, 0)
-			for _, shards := range []int{1, 2, 4, 8} {
-				if got := runCase(t, gc, shards); got != serial {
-					t.Fatalf("shards=%d digest %s differs from serial %s", shards, got, serial)
-				}
-			}
-			digests[gc.name] = serial
+			digests[gc.name] = runCase(t, gc, KernelConfig{})
 		})
 	}
 
@@ -194,9 +180,9 @@ func TestGoldenDigests(t *testing.T) {
 	}
 }
 
-// TestGoldenKernelVariants proves every kernel knob digest-invariant against
-// the same committed goldens: the retained reference scan path, serial and
-// sharded, must land on the digests the optimized SoA path produced. A divergence here
+// TestGoldenKernelVariants proves the scan-path knob digest-invariant against
+// the same committed goldens: the retained reference scan path must land on
+// the digests the optimized SoA path produced. A divergence here
 // with TestGoldenDigests green means the reference and optimized scans have
 // drifted apart — exactly the regression the SoA refactor's conformance
 // layer exists to catch.
@@ -205,20 +191,11 @@ func TestGoldenKernelVariants(t *testing.T) {
 		t.Skip("golden digests are updated by TestGoldenDigests")
 	}
 	want := readGolden(t)
-	variants := []struct {
-		name string
-		kern KernelConfig
-	}{
-		{"reference-serial", KernelConfig{ReferenceScan: true}},
-		{"reference-shards4", KernelConfig{ReferenceScan: true, Shards: 4}},
-	}
 	for _, gc := range goldenCases() {
 		gc := gc
 		t.Run(gc.name, func(t *testing.T) {
-			for _, v := range variants {
-				if got := runCaseKernel(t, gc, v.kern); got != want[gc.name] {
-					t.Errorf("%s: digest %s, golden %s", v.name, got, want[gc.name])
-				}
+			if got := runCase(t, gc, KernelConfig{ReferenceScan: true}); got != want[gc.name] {
+				t.Errorf("reference-serial: digest %s, golden %s", got, want[gc.name])
 			}
 		})
 	}
@@ -236,7 +213,6 @@ func TestGoldenDishaExercisesRecovery(t *testing.T) {
 	}
 	cfg := disha.build()
 	n := mustNet(t, cfg)
-	defer n.Close()
 	n.Run(disha.cycles)
 	c := n.Counters()
 	if c.TimeoutEvents == 0 || c.TokenSeizures == 0 {

@@ -54,8 +54,8 @@ type Config struct {
 	// Markov-modulated process of the same long-run load (the paper's
 	// conclusions claim Disha "performs well under bursty traffic").
 	Burst traffic.BurstConfig
-	// Kernel configures the intra-simulation parallel kernel (router
-	// sharding); the zero value runs Step serially.
+	// Kernel selects the scan path Step uses; the zero value is the
+	// optimized one.
 	Kernel KernelConfig
 }
 
@@ -91,9 +91,6 @@ func (c *Config) normalize() error {
 		return fmt.Errorf("network: injection probability %v outside [0,1]", c.InjectionProb)
 	}
 	if err := c.Router.Normalize(); err != nil {
-		return err
-	}
-	if err := c.Kernel.normalize(c.Topo.Nodes()); err != nil {
 		return err
 	}
 	need := c.Algorithm.MinVCs(c.Topo)
@@ -193,12 +190,6 @@ type Network struct {
 	res     *router.Reservations
 	xfers   []router.Transfer
 
-	// Parallel kernel state: nil/empty when Step runs serially. stageBufs
-	// holds one reusable transfer buffer per shard; concatenated in shard
-	// order they reproduce the serial kernel's global transfer order.
-	kern      *kernel
-	stageBufs [][]router.Transfer
-
 	// routerState is the shared struct-of-arrays buffer set every router is
 	// a view over (see router.State); refScan selects the retained reference
 	// scan path (KernelConfig.ReferenceScan).
@@ -290,14 +281,14 @@ func New(cfg Config) (*Network, error) {
 	}
 	n.refScan = cfg.Kernel.ReferenceScan
 	// All routers share one struct-of-arrays state, laid out router-major so
-	// the kernel's contiguous shards each own a contiguous range of every
-	// hot buffer (see router.State for the memory map).
+	// each router's hot state is one contiguous range of every buffer (see
+	// router.State for the memory map).
 	n.routerState = router.NewState(topo, cfg.Router)
 	for i := range n.routers {
 		// Each router gets its own RNG split so adaptive-selection draws are
-		// router-local: the stage phase can then fan out across shards
-		// without the draw order (and hence the simulation) depending on
-		// scheduling. A shared stream would make parallel staging racy.
+		// router-local: a router's draws depend only on its own history, not
+		// on how many draws other routers made before it in the cycle. The
+		// golden digests pin this split.
 		n.routers[i] = router.NewWithState(topology.Node(i), topo, cfg.Router, cfg.Algorithm, cfg.Selection, n.rng.Split(), n.routerState)
 		n.sources[i] = traffic.NewSource(topology.Node(i), cfg.Pattern, n.rng.Split(), prob, cfg.MsgLen)
 		if cfg.Burst.Valid() {
@@ -359,15 +350,12 @@ func New(cfg Config) (*Network, error) {
 			}
 		}
 	}
-	if cfg.Kernel.Shards >= 2 {
-		n.kern = newKernel(n, cfg.Kernel.Shards)
-	}
 	return n, nil
 }
 
-// Close stops the parallel kernel's worker goroutines. Safe to call on a
-// serial network and more than once; the network must not be stepped after.
-func (n *Network) Close() { n.kern.close() }
+// Close is a no-op kept for API compatibility: Step starts no goroutines
+// and holds no resources that outlive the Network.
+func (n *Network) Close() {}
 
 // validRecoveryLane checks that the topology's declared recovery lane
 // visits every node exactly once, returning it. Both recovery modes rely
@@ -508,12 +496,14 @@ func (n *Network) Drained() bool {
 	return true
 }
 
-// Step advances the simulation by one cycle through explicit phases. The
-// router-local phases — route-compute + switch staging (2) and deadlock
-// timers (4) — fan out across router shards when the kernel is configured
-// with Shards >= 2; every phase with cross-router effects runs serially in
-// fixed router order, which makes the sharded kernel byte-identical to the
-// serial one (the golden-digest suite enforces this).
+// Step advances the simulation by one cycle through explicit phases, each
+// a loop over the routers in fixed router order. The router-local phases —
+// route-compute + switch staging (2) and deadlock timers (4) — touch only
+// the owning router's state; every effect that crosses routers (Deadlock
+// Buffer write ports, commit, injection, delivery, Token movement,
+// observers) is applied in its own phase afterwards. A cycle is therefore a
+// pure function of the start-of-cycle state, which the golden-digest suite
+// pins.
 func (n *Network) Step() {
 	// Prelude: apply any scheduled reconfiguration events due at the current
 	// cycle (reconfig.go), before the clock ticks. One compare when no
@@ -533,7 +523,7 @@ func (n *Network) Step() {
 	}
 
 	// 1. Traffic generation and injection (one flit per node per cycle).
-	// Serial: allocates packet IDs and mutates shared counters.
+	// Allocates packet IDs and mutates shared counters.
 	for i := range n.nis {
 		n.generateAndInject(i, now)
 	}
@@ -543,71 +533,48 @@ func (n *Network) Step() {
 
 	// 2. Routing computation, VC allocation and switch allocation, fused
 	// per router: both stages mutate only the owning router's state (plus
-	// start-of-cycle-stable reads of neighbor Deadlock Buffers), so shards
-	// stage concurrently. Deadlock-Buffer admissions are optimistic here.
-	if n.kern != nil {
-		n.kern.run(n.kern.stageFns)
-	} else {
-		n.xfers = n.xfers[:0]
-		if profiled {
-			var routeNS, switchNS int64
-			for _, r := range n.routers {
-				s0 := time.Now()
-				n.stageRoute(r)
-				s1 := time.Now()
-				n.xfers = n.stageSwitch(r, n.xfers)
-				routeNS += s1.Sub(s0).Nanoseconds()
-				switchNS += time.Since(s1).Nanoseconds()
-			}
-			n.prof.shardRoute[0], n.prof.shardSwitch[0] = routeNS, switchNS
-		} else {
-			for _, r := range n.routers {
-				n.stageRoute(r)
-				n.xfers = n.stageSwitch(r, n.xfers)
-			}
-		}
-	}
+	// start-of-cycle-stable reads of neighbor Deadlock Buffers), so no
+	// router's staging depends on the routers staged before it.
+	// Deadlock-Buffer admissions are optimistic here. On profiled cycles the two stages are timed
+	// separately and summed across routers.
+	n.xfers = n.xfers[:0]
 	if profiled {
+		for _, r := range n.routers {
+			s0 := time.Now()
+			n.stageRoute(r)
+			s1 := time.Now()
+			n.xfers = n.stageSwitch(r, n.xfers)
+			n.prof.routeNS += s1.Sub(s0).Nanoseconds()
+			n.prof.switchNS += time.Since(s1).Nanoseconds()
+		}
 		n.prof.flushStage()
 		t0 = time.Now()
+	} else {
+		for _, r := range n.routers {
+			n.stageRoute(r)
+			n.xfers = n.stageSwitch(r, n.xfers)
+		}
 	}
 
 	// 3. Resolve the per-cycle Deadlock Buffer write-port arbitration in
 	// fixed router order, then commit all surviving transfers together.
-	// Both sub-phases are serial: they mutate cross-router state.
+	// Both sub-phases mutate cross-router state.
 	n.res.Reset()
-	if n.kern != nil {
-		for _, buf := range n.stageBufs {
-			n.res.Resolve(buf)
-		}
-	} else {
-		n.res.Resolve(n.xfers)
-	}
+	n.res.Resolve(n.xfers)
 	if profiled {
 		t0 = n.prof.lap(phaseDBResolve, t0)
 	}
-	if n.kern != nil {
-		for _, buf := range n.stageBufs {
-			for i := range buf {
-				router.Commit(&buf[i], n)
-			}
-		}
-	} else {
-		for i := range n.xfers {
-			router.Commit(&n.xfers[i], n)
-		}
+	for i := range n.xfers {
+		router.Commit(&n.xfers[i], n)
 	}
 	if profiled {
 		t0 = n.prof.lap(phaseCommit, t0)
 	}
 
-	// 4. Deadlock timers: router-local, sharded.
-	if n.kern != nil {
-		n.kern.run(n.kern.timerFns)
-	} else {
-		for _, r := range n.routers {
-			n.tickTimers(r)
-		}
+	// 4. Deadlock timers: router-local. Timeout observers are buffered per
+	// router and flushed below, after every router has ticked.
+	for _, r := range n.routers {
+		n.tickTimers(r)
 	}
 	if profiled {
 		t0 = n.prof.lap(phaseTimers, t0)
@@ -628,7 +595,7 @@ func (n *Network) Step() {
 	}
 
 	// 5. Recovery: token-serialized (sequential), immediate (concurrent),
-	// or kill-and-retransmit (abort-retry). Serial in router order.
+	// or kill-and-retransmit (abort-retry). In router order.
 	if n.cfg.Router.Timeout > 0 {
 		switch n.cfg.Router.Recovery {
 		case router.RecoverySequential:

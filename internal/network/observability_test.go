@@ -11,69 +11,58 @@ import (
 // runCaseObserved is runCase with the full observability stack attached:
 // telemetry hub, episode tracker (on by default) and the phase profiler at
 // an awkward prime period so profiled and unprofiled cycles interleave.
-func runCaseObserved(t *testing.T, gc goldenCase, shards int) (string, *telemetry.Hub) {
+func runCaseObserved(t *testing.T, gc goldenCase) string {
 	t.Helper()
-	cfg := gc.build()
-	cfg.Kernel.Shards = shards
-	n := mustNet(t, cfg)
-	defer n.Close()
-	hub := n.EnableTelemetry(telemetry.Options{SampleEvery: 25, ProfileEvery: 7})
+	n := mustNet(t, gc.build())
+	n.EnableTelemetry(telemetry.Options{SampleEvery: 25, ProfileEvery: 7})
 	for i := 0; i < gc.cycles; i++ {
 		n.Step()
 	}
-	return n.FingerprintHex(), hub
+	return n.FingerprintHex()
 }
 
 // TestGoldenDigestsWithObservability proves the observability stack is
 // digest-invariant: with the phase profiler and episode tracer enabled the
-// committed golden digests must still hold, serial and sharded. The
-// profiler reads the wall clock and the tracer bookkeeps spans, but neither
-// may touch simulation state.
+// committed golden digests must still hold. The profiler reads the wall
+// clock and the tracer bookkeeps spans, but neither may touch simulation
+// state.
 func TestGoldenDigestsWithObservability(t *testing.T) {
 	want := readGolden(t)
 	for _, gc := range goldenCases() {
 		gc := gc
 		t.Run(gc.name, func(t *testing.T) {
-			for _, shards := range []int{0, 4} {
-				got, _ := runCaseObserved(t, gc, shards)
-				if got != want[gc.name] {
-					t.Errorf("shards=%d: digest %s differs from golden %s with profiler+tracer on", shards, got, want[gc.name])
-				}
+			if got := runCaseObserved(t, gc); got != want[gc.name] {
+				t.Errorf("digest %s differs from golden %s with profiler+tracer on", got, want[gc.name])
 			}
 		})
 	}
 }
 
 // TestProfilerPopulatesHistograms checks the phase profiler actually
-// observes every phase, serial and sharded: each phase family member must
-// have a nonzero observation count after a profiled run.
+// observes every phase: each phase family member must have a nonzero
+// observation count after a profiled run.
 func TestProfilerPopulatesHistograms(t *testing.T) {
-	for _, shards := range []int{0, 4} {
-		cfg := testConfig(topology.MustTorus(4, 4), routing.Disha(0), 0.4, 7)
-		cfg.Kernel.Shards = shards
-		n := mustNet(t, cfg)
-		hub := n.EnableTelemetry(telemetry.Options{ProfileEvery: 1})
-		n.Run(50)
-		n.Close()
+	n := mustNet(t, testConfig(topology.MustTorus(4, 4), routing.Disha(0), 0.4, 7))
+	hub := n.EnableTelemetry(telemetry.Options{ProfileEvery: 1})
+	n.Run(50)
 
-		counts := map[string]float64{}
-		for _, s := range hub.Registry.Gather() {
-			if s.Name != "disha_step_phase_seconds_count" {
-				continue
-			}
-			counts[s.Labels.Map()["phase"]] = s.Value
+	counts := map[string]float64{}
+	for _, s := range hub.Registry.Gather() {
+		if s.Name != "disha_step_phase_seconds_count" {
+			continue
 		}
-		for _, phase := range []string{
-			"inject", "route_compute", "switch_allocate", "db_resolve",
-			"commit", "timers", "flush", "recovery", "step_total",
-		} {
-			if counts[phase] < 1 {
-				t.Errorf("shards=%d: phase %q observation count = %g, want >= 1", shards, phase, counts[phase])
-			}
+		counts[s.Labels.Map()["phase"]] = s.Value
+	}
+	for _, phase := range []string{
+		"inject", "route_compute", "switch_allocate", "db_resolve",
+		"commit", "timers", "flush", "recovery", "step_total",
+	} {
+		if counts[phase] < 1 {
+			t.Errorf("phase %q observation count = %g, want >= 1", phase, counts[phase])
 		}
-		if counts["step_total"] != 50 {
-			t.Errorf("shards=%d: step_total count = %g, want 50 (ProfileEvery=1)", shards, counts["step_total"])
-		}
+	}
+	if counts["step_total"] != 50 {
+		t.Errorf("step_total count = %g, want 50 (ProfileEvery=1)", counts["step_total"])
 	}
 }
 
@@ -92,7 +81,6 @@ func TestEpisodeSnapshotAgreement(t *testing.T) {
 	}
 	cfg := disha.build()
 	n := mustNet(t, cfg)
-	defer n.Close()
 	// Deep episode ring: the deadlock-prone case opens thousands of
 	// episodes and the matching spans must survive to the end of the run.
 	hub := n.EnableTelemetry(telemetry.Options{SnapshotCooldown: 50, EpisodeDepth: 1 << 16})
@@ -142,7 +130,6 @@ func TestEpisodeSpansWellFormed(t *testing.T) {
 	}
 	cfg := disha.build()
 	n := mustNet(t, cfg)
-	defer n.Close()
 	hub := n.EnableTelemetry(telemetry.Options{})
 	n.Run(disha.cycles)
 	hub.Episodes.FlushOpen(int64(n.Now()))

@@ -132,33 +132,32 @@ func scheduleFixture() []ReconfigEvent {
 	}
 }
 
-// TestScheduledReconfigDeterministic runs the same schedule under the serial
-// and sharded kernels and demands byte-identical fingerprints and identical
-// reconfiguration logs.
+// TestScheduledReconfigDeterministic runs the same schedule on the optimized
+// and reference scan paths and demands byte-identical fingerprints and
+// identical reconfiguration logs.
 func TestScheduledReconfigDeterministic(t *testing.T) {
-	run := func(shards int) (string, []ReconfigOutcome) {
+	run := func(refScan bool) (string, []ReconfigOutcome) {
 		topo := topology.MustTorus(4, 4)
 		cfg := testConfig(topo, routing.Disha(2), 0.5, 21)
-		cfg.Kernel.Shards = shards
+		cfg.Kernel.ReferenceScan = refScan
 		n := mustNet(t, cfg)
-		defer n.Close()
 		if err := n.ScheduleReconfig(scheduleFixture()); err != nil {
 			t.Fatal(err)
 		}
 		n.Run(2000)
 		return n.FingerprintHex(), n.ReconfigLog()
 	}
-	d1, log1 := run(1)
-	d4, log4 := run(4)
-	if d1 != d4 {
-		t.Fatalf("sharded chaos run diverged: serial %s sharded %s", d1, d4)
+	optDigest, optLog := run(false)
+	refDigest, refLog := run(true)
+	if optDigest != refDigest {
+		t.Fatalf("reference-scan chaos run diverged: optimized %s reference %s", optDigest, refDigest)
 	}
-	if len(log1) != len(scheduleFixture()) {
-		t.Fatalf("expected %d outcomes, got %d", len(scheduleFixture()), len(log1))
+	if len(optLog) != len(scheduleFixture()) {
+		t.Fatalf("expected %d outcomes, got %d", len(scheduleFixture()), len(optLog))
 	}
-	for i := range log1 {
-		if log1[i] != log4[i] {
-			t.Fatalf("outcome %d differs: %v vs %v", i, log1[i], log4[i])
+	for i := range optLog {
+		if optLog[i] != refLog[i] {
+			t.Fatalf("outcome %d differs: %v vs %v", i, optLog[i], refLog[i])
 		}
 	}
 }
@@ -172,9 +171,7 @@ func TestEmptyChaosScheduleZeroOverhead(t *testing.T) {
 		return mustNet(t, testConfig(topo, routing.Disha(2), 0.5, 33))
 	}
 	plain := build()
-	defer plain.Close()
 	armed := build()
-	defer armed.Close()
 	if err := armed.ScheduleReconfig(nil); err != nil {
 		t.Fatal(err)
 	}
@@ -221,7 +218,6 @@ func TestSnapshotReplaysReconfig(t *testing.T) {
 	sched := scheduleFixture()
 
 	orig := mustNet(t, cfg)
-	defer orig.Close()
 	if err := orig.ScheduleReconfig(sched); err != nil {
 		t.Fatal(err)
 	}
@@ -232,7 +228,6 @@ func TestSnapshotReplaysReconfig(t *testing.T) {
 		t.Fatal(err)
 	}
 	restored := mustNet(t, cfg)
-	defer restored.Close()
 	if err := restored.Restore(bytes.NewReader(buf.Bytes())); err != nil {
 		t.Fatal(err)
 	}

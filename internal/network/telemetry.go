@@ -33,11 +33,7 @@ func (n *Network) EnableTelemetry(opts telemetry.Options) *telemetry.Hub {
 	}
 	n.prof = nil
 	if opts.ProfileEvery > 0 {
-		shards := 1
-		if n.kern != nil {
-			shards = n.kern.shards
-		}
-		n.prof = newPhaseProfiler(h.Registry, opts.ProfileEvery, shards)
+		n.prof = newPhaseProfiler(h.Registry, opts.ProfileEvery)
 	}
 	n.wireTimeoutObservers()
 	return h

@@ -11,9 +11,9 @@ import (
 // are staged against start-of-cycle state by StageSwitch and applied together
 // by Commit, which keeps the simulation order-independent across routers.
 // Staging is router-local (it touches only the staging router's state), so
-// disjoint router shards may stage concurrently; the cross-router Deadlock
-// Buffer write-port constraint is enforced afterwards by Reservations.Resolve
-// in fixed router order.
+// no router's staging depends on which routers staged before it; the
+// cross-router Deadlock Buffer write-port constraint is enforced afterwards
+// by Reservations.Resolve in fixed router order.
 type Transfer struct {
 	From       *Router
 	FromPort   int // source input port; ignored when FromDB
@@ -82,9 +82,9 @@ func (res *Reservations) ReserveDB(target *Router, lane int, p *packet.Packet) b
 // the lane exists, is idle or already threaded by p, and has a free slot.
 // It deliberately ignores the per-cycle single-write-port constraint, which
 // depends on what other routers stage: StageSwitch uses this check so that
-// staging reads only start-of-cycle state (safe and deterministic under
-// concurrent sharded staging) and Reservations.Resolve settles the write
-// port afterwards in fixed router order.
+// staging reads only start-of-cycle state (independent of router visiting
+// order) and Reservations.Resolve settles the write port afterwards in
+// fixed router order.
 func dbStageable(target *Router, lane int, p *packet.Packet) bool {
 	if target == nil || lane < 0 || lane >= target.st.lanes {
 		return false
@@ -98,8 +98,8 @@ func dbStageable(target *Router, lane int, p *packet.Packet) bool {
 // walks the transfers in order and re-checks every DB-bound transfer against
 // the single-write-port reservation table, marking losers Dropped and
 // un-staging their source (the sent flag is cleared so TickTimers still sees
-// the header as blocked). Callers invoke it serially, shard by shard in
-// fixed router order, between staging and Commit; the surviving transfers
+// the header as blocked). Callers invoke it once per cycle over the
+// transfers in fixed router order, between staging and Commit; the surviving transfers
 // are exactly those a fully serial stage-with-reservations pass would have
 // admitted, except that a port whose optimistically staged DB transfer loses
 // arbitration idles for the cycle instead of re-arbitrating.
@@ -573,10 +573,9 @@ func (r *Router) tickSlot(l, p, v int, tout sim.Cycle, blocked, presumed *int) i
 
 // FlushTimeouts invokes the SetOnTimeout observer for every header newly
 // presumed during the last TickTimers, in detection order, and clears the
-// buffer. The network calls it serially in fixed router order after the
-// (possibly sharded) timer phase, so observer side effects — trace records,
-// flight-recorder triggers — happen in the same order regardless of the
-// kernel's shard count.
+// buffer. The network calls it in fixed router order after the whole timer
+// phase, so observer side effects — trace records, flight-recorder
+// triggers — see every router's timers for the cycle already ticked.
 func (r *Router) FlushTimeouts() {
 	if len(r.pendingTimeouts) == 0 {
 		return

@@ -38,8 +38,8 @@ func (r *Router) StageRouting() {
 // start-of-cycle buffer/credit state; Commit applies them afterwards.
 //
 // StageSwitch mutates only this router's state and reads neighbors' Deadlock
-// Buffer state, which is start-of-cycle stable, so disjoint router shards may
-// stage concurrently. Deadlock-Buffer-bound transfers are staged
+// Buffer state, which is start-of-cycle stable, so its result does not depend
+// on router visiting order. Deadlock-Buffer-bound transfers are staged
 // optimistically; the caller must run Reservations.Resolve over all staged
 // transfers (in fixed router order) before committing them.
 func (r *Router) StageSwitch(out []Transfer) []Transfer {
@@ -182,8 +182,8 @@ func (r *Router) arbitrateInput(q int, inputUsed []bool, out []Transfer) []Trans
 // newly crossed T_out this cycle; each newly presumed packet is buffered for
 // the observer installed with SetOnTimeout (tracing, flight recorder), which
 // runs when the caller invokes FlushTimeouts — deferred so that TickTimers
-// touches only router-local state and disjoint router shards can tick
-// concurrently. As a side effect it refreshes the router's telemetry
+// touches only router-local state and observers run after every router has
+// ticked. As a side effect it refreshes the router's telemetry
 // instrumentation (BlockedHeaders, PresumedHeaders, per-VC blocked-cycle
 // counters).
 //

@@ -10,8 +10,8 @@ import (
 // mid-run link and router kills, heals and routing-function swaps. Every
 // method here mutates only this router's slice of the shared SoA state (plus
 // the well-defined upstream credit return PurgePacket already performs), and
-// all of them are called between Step cycles, so they never race with the
-// sharded kernel.
+// all of them are called between Step cycles, so no phase ever sees a
+// half-applied mutation.
 
 // SetAlgorithm swaps the routing function this router consults for unrouted
 // headers. Granted routes are untouched: packets already holding an output

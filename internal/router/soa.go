@@ -15,9 +15,9 @@ import (
 // so the public router API is unchanged while route compute, switch
 // allocation and the deadlock-timer phase sweep contiguous memory instead of
 // chasing per-router pointers. Routers are laid out consecutively, so the
-// kernel's contiguous router shards (internal/network) partition every buffer
-// into contiguous, cache-line-friendly ranges with no false sharing beyond
-// single cache lines at shard boundaries.
+// kernel's fixed-order router loops (internal/network) walk every buffer
+// front to back, and each router's slice of a buffer is one contiguous,
+// cache-line-friendly range.
 //
 // Layout (all slices are allocated once, at NewState, and never grow):
 //

@@ -23,8 +23,8 @@ func (r *Router) DBFlitAt(lane, i int) packet.Flit { return r.st.dbAt(r.dbIdx(la
 // VC (owner, route grants, buffered flits, timer state), output VC (owner,
 // credits), Deadlock Buffer lane, crossbar connection, arbitration offset,
 // adaptive-timeout state and event counter. The golden-digest conformance
-// suite hashes it to prove that sharded and serial kernels leave the network
-// in byte-identical states; any field that can influence a future cycle must
+// suite hashes it to prove that the optimized and reference scan paths leave
+// the network in byte-identical states; any field that can influence a future cycle must
 // be included here.
 //
 // The encoding walks the logical (port, vc) order and each ring's logical

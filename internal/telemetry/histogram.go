@@ -13,9 +13,9 @@ import (
 // rendered exposition crosses goroutines only through Registry.Publish.
 //
 // Histograms are mergeable: two histograms with identical bounds can be
-// combined with Merge, which is how per-shard measurements aggregate into
-// one distribution without any locking — each shard observes into its own
-// histogram and the owning goroutine merges after the phase barrier.
+// combined with Merge, so separately recorded distributions aggregate into
+// one without any locking — each writer observes into its own histogram and
+// the owner merges them afterwards.
 //
 // A nil *Histogram is safe: Observe is a no-op and reads return zeros, so
 // instrumentation sites need no enabled-checks of their own.

@@ -9,21 +9,18 @@
 //
 //	go test -bench 'BenchmarkStep' -count 5 . | tee bench.txt
 //	go run ./internal/tools/benchgate \
-//	    -gate 'BenchmarkStepSharded/torus16/load0.5:BenchmarkStepSerial/torus16/load0.5:1.0' \
+//	    -gate 'BenchmarkStepProfiled/on:BenchmarkStepProfiled/off:1.111' \
 //	    -gate 'BenchmarkStepSerial/torus16/load0.5:BenchmarkStepReference/torus16/load0.5:0.87' \
 //	    bench.txt
 //
-// The first gate above requires the sharded kernel to be at least as fast as
-// serial; the second requires the optimized struct-of-arrays scan path to
+// The first gate above keeps the phase profiler within 11% of an unprofiled
+// run; the second requires the optimized struct-of-arrays scan path to
 // clear 1.15x the reference scan's cycles/sec (ns/op ratio <= 0.87). All
 // gates are always evaluated — a failing gate never hides the state of the
 // others — and the table marks each row PASS, FAIL, or MISSING (a renamed
 // benchmark must not silently disarm its gate). Medians over the -count
 // repetitions absorb scheduler noise the way benchstat's summary statistics
 // do.
-//
-// The legacy single-comparison flags -serial/-sharded/-max-ratio are still
-// honored when no -gate is given.
 package main
 
 import (
@@ -84,19 +81,11 @@ func parseGate(s string) (gate, error) {
 
 func main() {
 	var gates gateList
-	var (
-		serial   = flag.String("serial", "BenchmarkStepSerial/torus16", "legacy: baseline benchmark name (ignored when -gate is used)")
-		sharded  = flag.String("sharded", "BenchmarkStepSharded/torus16", "legacy: candidate benchmark name (ignored when -gate is used)")
-		maxRatio = flag.Float64("max-ratio", 1.0, "legacy: fail when candidate median ns/op > baseline median * ratio (ignored when -gate is used)")
-	)
-	flag.Var(&gates, "gate", "repeatable candidate:baseline:max-ratio comparison (e.g. BenchmarkStepSharded/torus16/load0.5:BenchmarkStepSerial/torus16/load0.5:1.0)")
+	flag.Var(&gates, "gate", "repeatable candidate:baseline:max-ratio comparison (e.g. BenchmarkStepSerial/torus16/load0.5:BenchmarkStepReference/torus16/load0.5:0.87)")
 	flag.Parse()
-	if flag.NArg() != 1 {
-		fmt.Fprintln(os.Stderr, "usage: benchgate [flags] bench-output.txt")
+	if flag.NArg() != 1 || len(gates) == 0 {
+		fmt.Fprintln(os.Stderr, "usage: benchgate -gate candidate:baseline:max-ratio [-gate ...] bench-output.txt")
 		os.Exit(2)
-	}
-	if len(gates) == 0 {
-		gates = gateList{{candidate: *sharded, baseline: *serial, maxRatio: *maxRatio}}
 	}
 
 	f, err := os.Open(flag.Arg(0))
