@@ -201,13 +201,6 @@ func main() {
 			opts.Writer = tw
 		}
 		tel = sim.EnableTelemetry(opts)
-		if tw != nil {
-			// Tee every trace event into the JSONL stream as it happens.
-			tb := sim.EnableTrace(4096)
-			tb.SetSink(func(e disha.TraceEvent) {
-				tw.Event(int64(e.Cycle), e.Kind.String(), int(e.Node), int64(e.Pkt))
-			})
-		}
 		if *metricsAddr != "" {
 			bound, shutdown, err := sim.ServeMetrics(*metricsAddr)
 			fail(err)

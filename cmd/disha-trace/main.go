@@ -1,22 +1,25 @@
 // Command disha-trace loads a JSONL telemetry dump produced by
 // disha-sim -trace-out and prints a recovery post-mortem: what the run was,
 // how often deadlock was presumed, how each recovery episode unfolded
-// (timeout -> Token capture -> Deadlock Buffer -> Token release -> delivery),
-// what the flight recorder saw around each presumption, and how the sampled
-// congestion series evolved.
+// (presumption -> Token capture -> Deadlock Buffer -> Token release ->
+// delivery or kill), what the flight recorder saw around each presumption,
+// and how the sampled congestion series evolved. Episodes come from the
+// tracker's "span" lines, one per presumption — an abort-and-retry packet
+// that is killed and presumed again has one span per attempt; -pkt and the
+// event totals read the "event" lines.
 //
 // Usage:
 //
 //	disha-trace run.jsonl             # full post-mortem
 //	disha-trace -pkt 1234 run.jsonl   # one packet's event history
 //	disha-trace -episodes 20 run.jsonl
-//	disha-trace episodes run.jsonl    # span-based episode timelines +
-//	                                  # misprediction-rate summary
+//	disha-trace episodes run.jsonl    # the episode section alone
 package main
 
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"sort"
 	"strings"
@@ -46,26 +49,35 @@ func main() {
 		flag.PrintDefaults()
 		os.Exit(2)
 	}
+	d := load(flag.Arg(0))
+	if *pkt >= 0 {
+		printPacket(os.Stdout, d, *pkt)
+		return
+	}
+	postMortem(os.Stdout, d, *episodes, *snaps)
+}
 
-	f, err := os.Open(flag.Arg(0))
+// postMortem renders the full report: run description, event totals,
+// recovery episodes (at most episodes timelines), flight-recorder snapshots
+// (at most snaps detailed), sampled series and final counters.
+func postMortem(w io.Writer, d *dump, episodes, snaps int) {
+	printMeta(w, d)
+	printEventTotals(w, d)
+	fmt.Fprintln(w)
+	printEpisodes(w, d, episodes, "-episodes")
+	printSnapshots(w, d, snaps)
+	printSeries(w, d)
+	printCounters(w, d)
+}
+
+// load reads and splits a JSONL dump, exiting on error.
+func load(path string) *dump {
+	f, err := os.Open(path)
 	fail(err)
 	lines, err := telemetry.ReadJSONL(f)
 	f.Close()
 	fail(err)
-
-	d := split(lines)
-
-	if *pkt >= 0 {
-		printPacket(d, *pkt)
-		return
-	}
-
-	printMeta(d)
-	printEventTotals(d)
-	printEpisodes(d, *episodes)
-	printSnapshots(d, *snaps)
-	printSeries(d)
-	printCounters(d)
+	return split(lines)
 }
 
 // dump is the trace file split by record type, in file order.
@@ -107,11 +119,8 @@ func split(lines []telemetry.Line) *dump {
 	return d
 }
 
-// runEpisodes is the `episodes` subcommand: it renders the structured
-// recovery-episode spans the tracker emitted — one timeline per episode,
-// labeled true-cycle vs false-presumption — plus a misprediction-rate
-// summary and a cross-check of the labels against the flight recorder's
-// TrueDeadlock verdicts.
+// runEpisodes is the `episodes` subcommand: the post-mortem's episode
+// section on its own.
 func runEpisodes(args []string) {
 	fs := flag.NewFlagSet("episodes", flag.ExitOnError)
 	limit := fs.Int("limit", 20, "max episode timelines to print")
@@ -121,16 +130,19 @@ func runEpisodes(args []string) {
 		fs.PrintDefaults()
 		os.Exit(2)
 	}
-	f, err := os.Open(fs.Arg(0))
-	fail(err)
-	lines, err := telemetry.ReadJSONL(f)
-	f.Close()
-	fail(err)
-	d := split(lines)
+	printEpisodes(os.Stdout, load(fs.Arg(0)), *limit, "-limit")
+}
 
-	fmt.Printf("recovery-episode spans (%d)\n", len(d.spans))
+// printEpisodes renders the structured recovery-episode spans the tracker
+// emitted — one timeline per episode, labeled true-cycle vs
+// false-presumption — plus a misprediction-rate summary and a cross-check
+// of the labels against the flight recorder's TrueDeadlock verdicts. At
+// most limit timelines are printed; limitFlag names the flag that raises
+// it.
+func printEpisodes(w io.Writer, d *dump, limit int, limitFlag string) {
+	fmt.Fprintf(w, "recovery-episode spans (%d)\n", len(d.spans))
 	if len(d.spans) == 0 {
-		fmt.Println("  (none — run disha-sim with -trace-out and a deadlock-prone config)")
+		fmt.Fprintln(w, "  (none — run disha-sim with -trace-out and a deadlock-prone config)")
 		return
 	}
 	spans := append([]*telemetry.EpisodeSpan(nil), d.spans...)
@@ -157,28 +169,28 @@ func runEpisodes(args []string) {
 		}
 	}
 	falseN := len(spans) - trueN
-	fmt.Printf("  verdicts: %d true-cycle, %d false-presumption (misprediction rate %.1f%%); %d presumed packets in a deadlocked set\n",
+	fmt.Fprintf(w, "  verdicts: %d true-cycle, %d false-presumption (misprediction rate %.1f%%); %d presumed packets in a deadlocked set\n",
 		trueN, falseN, 100*float64(falseN)/float64(len(spans)), memberN)
-	fmt.Printf("  outcomes: %d delivered, %d killed, %d open at end of run\n",
+	fmt.Fprintf(w, "  outcomes: %d delivered, %d killed, %d open at end of run\n",
 		outcomes["delivered"], outcomes["killed"], outcomes["open"])
 	if resolveN > 0 {
-		fmt.Printf("  mean time-to-resolve %d cycles", resolveSum/resolveN)
+		fmt.Fprintf(w, "  mean time-to-resolve %d cycles", resolveSum/resolveN)
 		if dbN > 0 {
-			fmt.Printf("; mean time-in-DB %d cycles over %d recovered deliveries", dbSum/dbN, dbN)
+			fmt.Fprintf(w, "; mean time-in-DB %d cycles over %d recovered deliveries", dbSum/dbN, dbN)
 		}
-		fmt.Println()
+		fmt.Fprintln(w)
 	}
 
-	fmt.Println("\ntimelines")
+	fmt.Fprintln(w, "\ntimelines")
 	for i, s := range spans {
-		if i >= *limit {
-			fmt.Printf("  ... %d more (raise -limit)\n", len(spans)-*limit)
+		if i >= limit {
+			fmt.Fprintf(w, "  ... %d more (raise %s)\n", len(spans)-limit, limitFlag)
 			break
 		}
-		fmt.Println("  " + spanTimeline(s))
+		fmt.Fprintln(w, "  "+spanTimeline(s))
 	}
 
-	printAgreement(d, spans)
+	printAgreement(w, d, spans)
 }
 
 // spanTimeline renders one span as a single arrow-chain line.
@@ -216,7 +228,7 @@ func spanTimeline(s *telemetry.EpisodeSpan) string {
 // flight recorder: a snapshot's trigger packet opened its episode the same
 // cycle, and both verdicts come from the same wait-for-graph analysis, so
 // they must agree. Disagreement means the span labels can't be trusted.
-func printAgreement(d *dump, spans []*telemetry.EpisodeSpan) {
+func printAgreement(w io.Writer, d *dump, spans []*telemetry.EpisodeSpan) {
 	if len(d.snapshots) == 0 {
 		return
 	}
@@ -235,17 +247,17 @@ func printAgreement(d *dump, spans []*telemetry.EpisodeSpan) {
 			agreed++
 		}
 	}
-	fmt.Printf("\nflight-recorder agreement: %d/%d trigger spans match the snapshot TrueDeadlock verdict\n",
+	fmt.Fprintf(w, "\nflight-recorder agreement: %d/%d trigger spans match the snapshot TrueDeadlock verdict\n",
 		agreed, matched)
 	if agreed != matched {
-		fmt.Println("  WARNING: span labels disagree with flight-recorder verdicts")
+		fmt.Fprintln(w, "  WARNING: span labels disagree with flight-recorder verdicts")
 	}
 }
 
-func printMeta(d *dump) {
-	fmt.Println("run")
+func printMeta(w io.Writer, d *dump) {
+	fmt.Fprintln(w, "run")
 	if len(d.meta) == 0 {
-		fmt.Println("  (no meta record)")
+		fmt.Fprintln(w, "  (no meta record)")
 		return
 	}
 	keys := make([]string, 0, len(d.meta))
@@ -254,14 +266,14 @@ func printMeta(d *dump) {
 	}
 	sort.Strings(keys)
 	for _, k := range keys {
-		fmt.Printf("  %-10s %s\n", k, d.meta[k])
+		fmt.Fprintf(w, "  %-10s %s\n", k, d.meta[k])
 	}
 }
 
-func printEventTotals(d *dump) {
-	fmt.Println("\nevents")
+func printEventTotals(w io.Writer, d *dump) {
+	fmt.Fprintln(w, "\nevents")
 	if len(d.events) == 0 {
-		fmt.Println("  (none recorded)")
+		fmt.Fprintln(w, "  (none recorded)")
 		return
 	}
 	counts := map[string]int{}
@@ -273,124 +285,22 @@ func printEventTotals(d *dump) {
 	seen := map[string]bool{}
 	for _, k := range order {
 		if counts[k] > 0 {
-			fmt.Printf("  %-14s %d\n", k, counts[k])
+			fmt.Fprintf(w, "  %-14s %d\n", k, counts[k])
 		}
 		seen[k] = true
 	}
 	for k, c := range counts {
 		if !seen[k] {
-			fmt.Printf("  %-14s %d\n", k, c)
+			fmt.Fprintf(w, "  %-14s %d\n", k, c)
 		}
 	}
 }
 
-// episode is one packet's recovery story, reconstructed from its events.
-type episode struct {
-	pkt                                               int64
-	node                                              int
-	timeout, capture, recover, release, deliver, kill int64
-}
-
-// buildEpisodes correlates per-packet events: the first timeout opens an
-// episode; capture/recover/release/deliver/kill cycles fill it in.
-func buildEpisodes(d *dump) []*episode {
-	byPkt := map[int64]*episode{}
-	var order []*episode
-	for _, e := range d.events {
-		ep := byPkt[e.Pkt]
-		switch e.Kind {
-		case "timeout":
-			if ep == nil {
-				ep = &episode{pkt: e.Pkt, node: e.Node, timeout: e.Cycle,
-					capture: -1, recover: -1, release: -1, deliver: -1, kill: -1}
-				byPkt[e.Pkt] = ep
-				order = append(order, ep)
-			}
-		case "token-capture":
-			if ep != nil && ep.capture < 0 {
-				ep.capture = e.Cycle
-			}
-		case "recover":
-			if ep != nil && ep.recover < 0 {
-				ep.recover = e.Cycle
-				ep.node = e.Node
-			}
-		case "token-release":
-			if ep != nil && ep.release < 0 {
-				ep.release = e.Cycle
-			}
-		case "deliver":
-			if ep != nil && ep.deliver < 0 {
-				ep.deliver = e.Cycle
-			}
-		case "kill":
-			if ep != nil && ep.kill < 0 {
-				ep.kill = e.Cycle
-			}
-		}
-	}
-	return order
-}
-
-func printEpisodes(d *dump, max int) {
-	eps := buildEpisodes(d)
-	fmt.Printf("\nrecovery episodes (%d presumed-deadlocked packets)\n", len(eps))
-	if len(eps) == 0 {
-		return
-	}
-	recovered, resolved := 0, 0
-	var totalToDeliver, delivered int64
-	for _, ep := range eps {
-		if ep.recover >= 0 {
-			recovered++
-		}
-		if ep.deliver >= 0 {
-			resolved++
-			totalToDeliver += ep.deliver - ep.timeout
-			delivered++
-		}
-	}
-	fmt.Printf("  recovered via DB lane: %d, delivered after timeout: %d", recovered, resolved)
-	if delivered > 0 {
-		fmt.Printf(" (mean timeout->deliver %d cycles)", totalToDeliver/delivered)
-	}
-	fmt.Println()
-	for i, ep := range eps {
-		if i >= max {
-			fmt.Printf("  ... %d more (raise -episodes)\n", len(eps)-max)
-			break
-		}
-		var sb strings.Builder
-		fmt.Fprintf(&sb, "  pkt %-6d timeout@%d node=%d", ep.pkt, ep.timeout, ep.node)
-		if ep.capture >= 0 {
-			fmt.Fprintf(&sb, " -> token-capture@%d", ep.capture)
-		}
-		if ep.recover >= 0 {
-			fmt.Fprintf(&sb, " -> db-lane@%d", ep.recover)
-		}
-		if ep.release >= 0 {
-			fmt.Fprintf(&sb, " -> token-release@%d", ep.release)
-		}
-		if ep.kill >= 0 {
-			fmt.Fprintf(&sb, " -> killed@%d", ep.kill)
-		}
-		switch {
-		case ep.deliver >= 0:
-			fmt.Fprintf(&sb, " -> delivered@%d (+%d cycles)", ep.deliver, ep.deliver-ep.timeout)
-		case ep.kill >= 0:
-			// killed: retransmitted under a fresh packet ID
-		default:
-			sb.WriteString(" -> unresolved at end of trace")
-		}
-		fmt.Println(sb.String())
-	}
-}
-
-func printSnapshots(d *dump, max int) {
-	fmt.Printf("\nflight-recorder snapshots (%d)\n", len(d.snapshots))
+func printSnapshots(w io.Writer, d *dump, max int) {
+	fmt.Fprintf(w, "\nflight-recorder snapshots (%d)\n", len(d.snapshots))
 	for i, s := range d.snapshots {
 		if i >= max {
-			fmt.Printf("  ... %d more (raise -snapshots)\n", len(d.snapshots)-max)
+			fmt.Fprintf(w, "  ... %d more (raise -snapshots)\n", len(d.snapshots)-max)
 			break
 		}
 		deadlocked := 0
@@ -399,10 +309,10 @@ func printSnapshots(d *dump, max int) {
 				deadlocked++
 			}
 		}
-		fmt.Printf("  @%d trigger pkt %d at node %d: %d blocked headers, %d in a true deadlock (true_deadlock=%v)\n",
+		fmt.Fprintf(w, "  @%d trigger pkt %d at node %d: %d blocked headers, %d in a true deadlock (true_deadlock=%v)\n",
 			s.Cycle, s.TriggerPkt, s.TriggerNode, len(s.WFG), deadlocked, s.TrueDeadlock)
 		if len(s.Frames) > 0 {
-			fmt.Printf("    %d frames (%d..%d); routers saturated first: %s\n",
+			fmt.Fprintf(w, "    %d frames (%d..%d); routers saturated first: %s\n",
 				len(s.Frames), s.Frames[0].Cycle, s.Frames[len(s.Frames)-1].Cycle,
 				hottestRouters(s.Frames, 5))
 		}
@@ -449,10 +359,10 @@ func hottestRouters(frames []telemetry.Frame, top int) string {
 	return strings.Join(parts, ", ")
 }
 
-func printSeries(d *dump) {
-	fmt.Println("\nsampled series")
+func printSeries(w io.Writer, d *dump) {
+	fmt.Fprintln(w, "\nsampled series")
 	if len(d.samples) == 0 {
-		fmt.Println("  (none)")
+		fmt.Fprintln(w, "  (none)")
 		return
 	}
 	type agg struct {
@@ -481,36 +391,36 @@ func printSeries(d *dump) {
 	sort.Strings(names)
 	for _, name := range names {
 		a := byName[name]
-		fmt.Printf("  %-28s %4d samples  min %-8g mean %-8.4g max %-8g last %g\n",
+		fmt.Fprintf(w, "  %-28s %4d samples  min %-8g mean %-8.4g max %-8g last %g\n",
 			name, a.n, a.min, a.mean/float64(a.n), a.max, a.last)
 	}
 }
 
-func printCounters(d *dump) {
+func printCounters(w io.Writer, d *dump) {
 	if d.counters == nil {
 		return
 	}
-	fmt.Printf("\nfinal counters @%d\n", d.lastCycle)
+	fmt.Fprintf(w, "\nfinal counters @%d\n", d.lastCycle)
 	keys := make([]string, 0, len(d.counters))
 	for k := range d.counters {
 		keys = append(keys, k)
 	}
 	sort.Strings(keys)
 	for _, k := range keys {
-		fmt.Printf("  %-18s %d\n", k, d.counters[k])
+		fmt.Fprintf(w, "  %-18s %d\n", k, d.counters[k])
 	}
 }
 
-func printPacket(d *dump, pkt int64) {
+func printPacket(w io.Writer, d *dump, pkt int64) {
 	found := false
 	for _, e := range d.events {
 		if e.Pkt == pkt {
 			found = true
-			fmt.Printf("[%6d] %-13s node=%d\n", e.Cycle, e.Kind, e.Node)
+			fmt.Fprintf(w, "[%6d] %-13s node=%d\n", e.Cycle, e.Kind, e.Node)
 		}
 	}
 	if !found {
-		fmt.Printf("no events for pkt %d\n", pkt)
+		fmt.Fprintf(w, "no events for pkt %d\n", pkt)
 	}
 }
 

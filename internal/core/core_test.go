@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/network"
+	"repro/internal/packet"
 	"repro/internal/router"
 	"repro/internal/routing"
 	"repro/internal/sim"
@@ -186,6 +187,60 @@ func TestAnalyzerFindsRealDeadlock(t *testing.T) {
 			if w.OnDB {
 				t.Fatalf("deadlocked header waits on a recovering packet %v", w)
 			}
+		}
+	}
+}
+
+// TestAnalyzerWaitsOnCandidateOrder checks that every blocked header lists
+// the packets it waits on in the order its routing function offered the
+// candidate channels they hold, so snapshots of identical runs render the
+// same graph. Sampling the wedge as it forms finds dozens of headers that
+// wait on two owners.
+func TestAnalyzerWaitsOnCandidateOrder(t *testing.T) {
+	n := buildNet(t, routing.Disha(0), 1, 0.9, 12, 0)
+	multi := 0
+	for i := 0; i < 200; i++ {
+		n.Run(10)
+		for _, bh := range core.AnalyzeWFG(n.Routers()).Blocked {
+			if len(bh.WaitsOn) > 1 {
+				multi++
+			}
+			checkCandidateOrder(t, bh)
+		}
+	}
+	if multi < 20 {
+		t.Fatalf("only %d blocked headers wait on two or more packets; the order check is too weak", multi)
+	}
+}
+
+// checkCandidateOrder fails unless bh.WaitsOn follows the order of the
+// first candidate channel each waitee holds.
+func checkCandidateOrder(t *testing.T, bh core.BlockedHeader) {
+	t.Helper()
+	r := bh.Router
+	cands := r.Algorithm().Route(r, bh.Pkt, nil)
+	// rank is the index of the first candidate held by w: as the output
+	// VC's owner or, once the owner released it but the downstream buffer
+	// has not drained, as that buffer's occupant.
+	rank := func(w *packet.Packet) int {
+		for i, c := range cands {
+			if !r.LinkExists(c.Port) {
+				continue
+			}
+			holder := r.OutputOwner(c.Port, c.VC)
+			if holder == nil {
+				holder = r.Neighbor(c.Port).InputOwner(r.ReverseAt(c.Port), c.VC)
+			}
+			if holder == w {
+				return i
+			}
+		}
+		t.Fatalf("pkt %d waits on pkt %d, which holds none of its candidates", bh.Pkt.ID, w.ID)
+		return -1
+	}
+	for i := 1; i < len(bh.WaitsOn); i++ {
+		if rank(bh.WaitsOn[i-1]) >= rank(bh.WaitsOn[i]) {
+			t.Fatalf("pkt %d at node %d: WaitsOn not in candidate order", bh.Pkt.ID, r.NodeID())
 		}
 	}
 }

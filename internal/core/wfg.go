@@ -13,7 +13,9 @@ type BlockedHeader struct {
 	Port   int
 	VC     int
 	Pkt    *packet.Packet
-	// WaitsOn lists the distinct packets holding the candidate output VCs.
+	// WaitsOn lists the distinct packets holding the candidate output VCs,
+	// in the order the routing function offered the candidates, so every
+	// rendering of the graph is deterministic.
 	WaitsOn []*packet.Packet
 }
 
@@ -83,7 +85,8 @@ func AnalyzeWFG(routers []*router.Router) WFGResult {
 				}
 				cands := r.Algorithm().Route(r, pkt, nil)
 				free := false
-				waitSet := make(map[*packet.Packet]struct{})
+				var buf [8]*packet.Packet // stack scratch; copied out only if blocked
+				waitsOn := buf[:0]
 				for _, c := range cands {
 					if !r.LinkExists(c.Port) {
 						continue
@@ -93,7 +96,7 @@ func AnalyzeWFG(routers []*router.Router) WFGResult {
 						break
 					}
 					if owner := r.OutputOwner(c.Port, c.VC); owner != nil {
-						waitSet[owner] = struct{}{}
+						waitsOn = appendDistinct(waitsOn, owner)
 						continue
 					}
 					// Owner released but the downstream buffer has not
@@ -103,7 +106,7 @@ func AnalyzeWFG(routers []*router.Router) WFGResult {
 					nb := r.Neighbor(c.Port)
 					inPort := r.ReverseAt(c.Port)
 					if occupant := nb.InputOwner(inPort, c.VC); occupant != nil {
-						waitSet[occupant] = struct{}{}
+						waitsOn = appendDistinct(waitsOn, occupant)
 					} else {
 						// Genuinely draining: will become free without help.
 						free = true
@@ -113,11 +116,10 @@ func AnalyzeWFG(routers []*router.Router) WFGResult {
 				if free {
 					continue
 				}
-				bh := BlockedHeader{Router: r, Port: p, VC: v, Pkt: pkt}
-				for w := range waitSet {
-					bh.WaitsOn = append(bh.WaitsOn, w)
-				}
-				res.Blocked = append(res.Blocked, bh)
+				res.Blocked = append(res.Blocked, BlockedHeader{
+					Router: r, Port: p, VC: v, Pkt: pkt,
+					WaitsOn: append([]*packet.Packet(nil), waitsOn...),
+				})
 			}
 		}
 	}
@@ -152,4 +154,15 @@ func AnalyzeWFG(routers []*router.Router) WFGResult {
 		}
 	}
 	return res
+}
+
+// appendDistinct appends p to ps unless it is already there. A header has
+// only a few candidate channels, so a linear scan beats a set.
+func appendDistinct(ps []*packet.Packet, p *packet.Packet) []*packet.Packet {
+	for _, q := range ps {
+		if q == p {
+			return ps
+		}
+	}
+	return append(ps, p)
 }

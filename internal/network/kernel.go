@@ -36,10 +36,9 @@ func (n *Network) stageSwitch(r *router.Router, buf []router.Transfer) []router.
 	return r.StageSwitch(buf)
 }
 
-func (n *Network) tickTimers(r *router.Router) {
+func (n *Network) tickTimers(r *router.Router) int {
 	if n.refScan {
-		r.TickTimersRef()
-		return
+		return r.TickTimersRef()
 	}
-	r.TickTimers()
+	return r.TickTimers()
 }

@@ -232,10 +232,10 @@ type Network struct {
 	// OnDeliver, when set, is invoked for every packet whose tail is
 	// consumed; the harness uses it to collect latency samples.
 	OnDeliver func(*packet.Packet)
-	// Trace, when set via SetTrace, records packet-level events.
+	// tracer (SetTrace) and tel (EnableTelemetry) are the two consumers of
+	// packet events (see emit); tel is also driven once per cycle.
 	tracer *trace.Buffer
-	// tel, when set via EnableTelemetry, is driven once per cycle.
-	tel *telemetry.Hub
+	tel    *telemetry.Hub
 	// prof, when enabled via telemetry.Options.ProfileEvery, times Step's
 	// phases on sampled cycles (see profiler.go). It reads the wall clock
 	// and writes histograms — never simulation state.
@@ -500,8 +500,8 @@ func (n *Network) Drained() bool {
 // a loop over the routers in fixed router order. The router-local phases —
 // route-compute + switch staging (2) and deadlock timers (4) — touch only
 // the owning router's state; every effect that crosses routers (Deadlock
-// Buffer write ports, commit, injection, delivery, Token movement,
-// observers) is applied in its own phase afterwards. A cycle is therefore a
+// Buffer write ports, commit, injection, delivery, Token movement, event
+// emission) is applied in its own phase afterwards. A cycle is therefore a
 // pure function of the start-of-cycle state, which the golden-digest suite
 // pins.
 func (n *Network) Step() {
@@ -571,17 +571,20 @@ func (n *Network) Step() {
 		t0 = n.prof.lap(phaseCommit, t0)
 	}
 
-	// 4. Deadlock timers: router-local. Timeout observers are buffered per
-	// router and flushed below, after every router has ticked.
+	// 4. Deadlock timers: router-local. Each router lists its new
+	// presumptions; they are emitted below, after every router has ticked.
+	newly := 0
 	for _, r := range n.routers {
-		n.tickTimers(r)
+		newly += n.tickTimers(r)
 	}
 	if profiled {
 		t0 = n.prof.lap(phaseTimers, t0)
 	}
-	if n.tracer != nil || n.tel != nil {
+	if newly > 0 && n.observed() {
 		for _, r := range n.routers {
-			r.FlushTimeouts()
+			for _, p := range r.NewlyPresumed() {
+				n.emit(trace.Timeout, r.NodeID(), p)
+			}
 		}
 		// Episodes opened by this cycle's timeouts get their WFG verdict
 		// now, while the deadlock is still intact (recovery below breaks
@@ -600,12 +603,8 @@ func (n *Network) Step() {
 		switch n.cfg.Router.Recovery {
 		case router.RecoverySequential:
 			if p := n.token.Step(n.routers, now); p != nil {
-				n.traceEvent(trace.TokenCapture, n.token.Position(), p.ID)
-				n.traceEvent(trace.Recover, n.token.Position(), p.ID)
-				if n.tel != nil {
-					n.tel.Episodes.Capture(int64(p.ID), int64(now))
-					n.tel.Episodes.Recovered(int64(p.ID), int64(now))
-				}
+				n.emit(trace.TokenCapture, n.token.Position(), p)
+				n.emit(trace.Recover, n.token.Position(), p)
 			}
 		case router.RecoveryConcurrent:
 			for _, r := range n.routers {
@@ -614,14 +613,11 @@ func (n *Network) Step() {
 				}
 				n.presumedScratch = r.RecoverPresumed(now, n.presumedScratch[:0])
 				for _, p := range n.presumedScratch {
-					n.traceEvent(trace.Recover, r.NodeID(), p.ID)
-					if n.tel != nil {
-						n.tel.Episodes.Recovered(int64(p.ID), int64(now))
-					}
+					n.emit(trace.Recover, r.NodeID(), p)
 				}
 			}
 		case router.RecoveryAbortRetry:
-			n.killPresumed(now)
+			n.killPresumed()
 		}
 	}
 	if profiled {
@@ -640,48 +636,25 @@ func (n *Network) Step() {
 	}
 }
 
-// traceEvent records one packet-level event, timestamped with the current
-// cycle. All tracer access funnels through here, so instrumentation call
-// sites cannot panic when tracing is off: the helper — and, defensively,
-// a nil *trace.Buffer itself — is safe with tracing detached.
-func (n *Network) traceEvent(k trace.Kind, node topology.Node, id packet.ID) {
-	if n.tracer == nil {
+// emit reports one packet event to both of its consumers: the trace ring
+// and the telemetry hub, which routes it on to the JSONL stream, the
+// flight-recorder trigger and the episode tracker. Every packet event
+// funnels through here, once, in the deterministic order the serial phases
+// produce it; with neither consumer attached it costs two nil checks.
+func (n *Network) emit(k trace.Kind, node topology.Node, p *packet.Packet) {
+	if !n.observed() {
 		return
 	}
-	n.tracer.Record(trace.Event{Cycle: n.clock.Now(), Kind: k, Node: node, Pkt: id})
+	e := trace.Event{Cycle: n.clock.Now(), Kind: k, Node: node, Pkt: p.ID}
+	n.tracer.Record(e)
+	n.tel.Observe(e)
 }
+
+// observed reports whether any event consumer is attached.
+func (n *Network) observed() bool { return n.tracer != nil || n.tel != nil }
 
 // SetTrace attaches an event trace buffer (nil detaches).
-func (n *Network) SetTrace(t *trace.Buffer) {
-	n.tracer = t
-	n.wireTimeoutObservers()
-}
-
-// wireTimeoutObservers installs (or removes) the per-router deadlock
-// presumption observers feeding the tracer and the telemetry flight
-// recorder. Routers pay a nil check when neither is attached.
-func (n *Network) wireTimeoutObservers() {
-	for _, r := range n.routers {
-		if n.tracer == nil && n.tel == nil {
-			r.SetOnTimeout(nil)
-			continue
-		}
-		node := r.NodeID()
-		r.SetOnTimeout(func(p *packet.Packet) { n.noteTimeout(node, p) })
-	}
-}
-
-// noteTimeout is the shared timeout observer: it traces the presumption,
-// arms the flight recorder's snapshot trigger and opens a recovery episode
-// span (re-presumptions of an already-open episode are absorbed by the
-// tracker).
-func (n *Network) noteTimeout(node topology.Node, p *packet.Packet) {
-	n.traceEvent(trace.Timeout, node, p.ID)
-	if n.tel != nil {
-		n.tel.NoteTimeout(int(node), int64(p.ID))
-		n.tel.Episodes.Open(int64(p.ID), int(node), int64(n.clock.Now()))
-	}
-}
+func (n *Network) SetTrace(t *trace.Buffer) { n.tracer = t }
 
 // Run advances the simulation by the given number of cycles.
 func (n *Network) Run(cycles int) {
@@ -734,7 +707,7 @@ func (n *Network) generateAndInject(i int, now sim.Cycle) {
 			q.pop()
 			n.counters.PacketsInjected++
 			n.outstanding[i]++
-			n.traceEvent(trace.Inject, head.Src, head.ID)
+			n.emit(trace.Inject, head.Src, head)
 			if head.Length == 1 {
 				return
 			}
@@ -770,10 +743,7 @@ func (n *Network) Deliver(fl packet.Flit, at topology.Node) {
 		p.HeaderArrived = true
 		if p.OnDB && n.token != nil {
 			if n.token.Release(p, at) {
-				n.traceEvent(trace.TokenRelease, at, p.ID)
-				if n.tel != nil {
-					n.tel.Episodes.Release(int64(p.ID), int64(n.clock.Now()))
-				}
+				n.emit(trace.TokenRelease, at, p)
 			}
 		}
 	}
@@ -781,10 +751,7 @@ func (n *Network) Deliver(fl packet.Flit, at topology.Node) {
 		p.DeliveredAt = n.clock.Now()
 		n.counters.PacketsDelivered++
 		n.outstanding[p.Src]--
-		n.traceEvent(trace.Deliver, at, p.ID)
-		if n.tel != nil {
-			n.tel.Episodes.Delivered(int64(p.ID), int64(n.clock.Now()))
-		}
+		n.emit(trace.Deliver, at, p)
 		if p.FlitsDelivered != p.Length {
 			panic(fmt.Sprintf("network: %v tail delivered with %d/%d flits", p, p.FlitsDelivered, p.Length))
 		}
@@ -799,7 +766,7 @@ func (n *Network) Deliver(fl packet.Flit, at topology.Node) {
 // network, every channel it holds released — and requeued at its source for
 // retransmission. Killed packets pay the latency penalty the paper points
 // out; in exchange no Deadlock Buffer hardware is needed.
-func (n *Network) killPresumed(now sim.Cycle) {
+func (n *Network) killPresumed() {
 	victims := n.victimScratch[:0]
 	if n.seenScratch == nil {
 		n.seenScratch = make(map[*packet.Packet]bool)
@@ -840,10 +807,7 @@ func (n *Network) killPresumed(now sim.Cycle) {
 		n.outstanding[p.Src]--
 		n.counters.PacketsKilled++
 		q.push(p)
-		n.traceEvent(trace.Kill, p.Src, p.ID)
-		if n.tel != nil {
-			n.tel.Episodes.Killed(int64(p.ID), int64(now))
-		}
+		n.emit(trace.Kill, p.Src, p)
 	}
 	for p := range seen {
 		delete(seen, p)

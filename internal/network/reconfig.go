@@ -565,10 +565,7 @@ func (n *Network) dropPacket(p *packet.Packet) {
 	} else {
 		n.counters.PacketsUnroutable++
 	}
-	n.traceEvent(trace.Drop, p.Src, p.ID)
-	if n.tel != nil {
-		n.tel.Episodes.Killed(int64(p.ID), int64(n.clock.Now()))
-	}
+	n.emit(trace.Drop, p.Src, p)
 }
 
 // replayOutcome re-applies one logged reconfiguration event's topology-side

@@ -35,7 +35,6 @@ func (n *Network) EnableTelemetry(opts telemetry.Options) *telemetry.Hub {
 	if opts.ProfileEvery > 0 {
 		n.prof = newPhaseProfiler(h.Registry, opts.ProfileEvery)
 	}
-	n.wireTimeoutObservers()
 	return h
 }
 

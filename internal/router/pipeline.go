@@ -475,6 +475,7 @@ func (r *Router) TickTimersRef() int {
 	newly := 0
 	blocked, presumed := 0, 0
 	tout := r.tickDecay()
+	r.newlyPresumed = r.newlyPresumed[:0]
 	for p := 0; p <= r.deg; p++ {
 		for v := 0; v < s.inVCCount(r.deg, p); v++ {
 			newly += r.tickSlot(r.inLocal(p, v), p, v, tout, &blocked, &presumed)
@@ -563,31 +564,18 @@ func (r *Router) tickSlot(l, p, v int, tout sim.Cycle, blocked, presumed *int) i
 		*presumed++
 		head.Pkt.TimedOut = true
 		r.stats.TimeoutEvents++
-		if r.onTimeout != nil {
-			r.pendingTimeouts = append(r.pendingTimeouts, head.Pkt)
-		}
+		r.newlyPresumed = append(r.newlyPresumed, head.Pkt)
 		return 1
 	}
 	return 0
 }
 
-// FlushTimeouts invokes the SetOnTimeout observer for every header newly
-// presumed during the last TickTimers, in detection order, and clears the
-// buffer. The network calls it in fixed router order after the whole timer
-// phase, so observer side effects — trace records, flight-recorder
-// triggers — see every router's timers for the cycle already ticked.
-func (r *Router) FlushTimeouts() {
-	if len(r.pendingTimeouts) == 0 {
-		return
-	}
-	for i, p := range r.pendingTimeouts {
-		if r.onTimeout != nil {
-			r.onTimeout(p)
-		}
-		r.pendingTimeouts[i] = nil
-	}
-	r.pendingTimeouts = r.pendingTimeouts[:0]
-}
+// NewlyPresumed returns the headers that crossed T_out during the last
+// TickTimers, in detection order. The slice is overwritten by the next
+// TickTimers. The network reads it in fixed router order after the whole
+// timer phase, so the events it emits see every router's timers for the
+// cycle already ticked.
+func (r *Router) NewlyPresumed() []*packet.Packet { return r.newlyPresumed }
 
 // strandedHeader reports whether the packet's routing function offers no
 // live output port at this router — only possible with failed links; such

@@ -179,17 +179,15 @@ func (r *Router) arbitrateInput(q int, inputUsed []bool, out []Transfer) []Trans
 
 // TickTimers advances T_elapsed for blocked headers (paper Section 3.1) and
 // clears the per-cycle sent markers. It returns the number of headers that
-// newly crossed T_out this cycle; each newly presumed packet is buffered for
-// the observer installed with SetOnTimeout (tracing, flight recorder), which
-// runs when the caller invokes FlushTimeouts — deferred so that TickTimers
-// touches only router-local state and observers run after every router has
-// ticked. As a side effect it refreshes the router's telemetry
-// instrumentation (BlockedHeaders, PresumedHeaders, per-VC blocked-cycle
-// counters).
+// newly crossed T_out this cycle and lists those packets in NewlyPresumed,
+// so TickTimers touches only router-local state and the network reports
+// them after every router has ticked. As a side effect it refreshes the
+// router's telemetry instrumentation (BlockedHeaders, PresumedHeaders,
+// per-VC blocked-cycle counters).
 //
 // Only occupied or sent slots are visited, in ascending slot order (the
-// order timeout observations are buffered in). An empty slot that sent
-// nothing carries no timer state — every path that empties a ring either
+// order NewlyPresumed lists them in). An empty slot that sent nothing
+// carries no timer state — every path that empties a ring either
 // marks the slot sent or clears its timer, and CheckState verifies it — so
 // ticking it would be a no-op.
 func (r *Router) TickTimers() int {
@@ -197,6 +195,7 @@ func (r *Router) TickTimers() int {
 	newly := 0
 	blocked, presumed := 0, 0
 	tout := r.tickDecay()
+	r.newlyPresumed = r.newlyPresumed[:0]
 	occ, sent := r.bitset(setOcc), r.bitset(setSent)
 	for w := range occ {
 		for x := occ[w] | sent[w]; x != 0; x &= x - 1 {

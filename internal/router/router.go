@@ -129,11 +129,10 @@ type Router struct {
 	// cumulative blocked cycles keyed by VC index.
 	blockedByVC []int64
 
-	// onTimeout, when set via SetOnTimeout, observes every newly presumed
-	// header (tracing, telemetry flight recorder). TickTimers buffers the
-	// newly presumed packets in pendingTimeouts; FlushTimeouts drains them.
-	onTimeout       func(*packet.Packet)
-	pendingTimeouts []*packet.Packet
+	// newlyPresumed holds the headers that crossed T_out during the last
+	// TickTimers, in detection order (see NewlyPresumed). Its capacity is
+	// the router's slot count, so appending never allocates.
+	newlyPresumed []*packet.Packet
 }
 
 // NewWithState constructs a router for node as a view over the shared
@@ -173,6 +172,7 @@ func NewWithState(node topology.Node, topo topology.Graph, cfg Config, alg routi
 		maxVCs = cfg.InjectionVCs
 	}
 	r.blockedByVC = make([]int64, maxVCs)
+	r.newlyPresumed = make([]*packet.Packet, 0, st.stride)
 	r.rev = make([]int32, deg)
 	for p := 0; p < deg; p++ {
 		if q, ok := topo.ReversePortAt(node, p); ok {
@@ -229,11 +229,6 @@ func (r *Router) NodeID() topology.Node { return r.node }
 
 // Stats returns a copy of the router's event counters.
 func (r *Router) Stats() Stats { return r.stats }
-
-// SetOnTimeout installs the observer invoked for every header newly
-// presumed deadlocked at this router (nil detaches). The network wires it
-// when tracing or telemetry is attached; routers never call it otherwise.
-func (r *Router) SetOnTimeout(fn func(*packet.Packet)) { r.onTimeout = fn }
 
 // BlockedHeaders returns how many headers failed to advance during the most
 // recent TickTimers pass (a live congestion gauge).

@@ -280,7 +280,7 @@ func (r *Router) DecodeState(rd *snapshot.Reader, resolve func(id int64) *packet
 		return err
 	}
 	r.rng.SetState(st)
-	r.pendingTimeouts = r.pendingTimeouts[:0]
+	r.newlyPresumed = r.newlyPresumed[:0]
 	// Rebuild the derived flit counter from the restored buffers; it is not
 	// serialized (the snapshot format predates it, and it is derivable).
 	total := int32(0)

@@ -1,6 +1,10 @@
 package telemetry
 
-import "sort"
+import (
+	"sort"
+
+	"repro/internal/trace"
+)
 
 // EpisodeSpan is one recovery episode rendered as a structured span: the
 // lifecycle of a single deadlock presumption from the cycle a blocked
@@ -41,12 +45,13 @@ type EpisodeSpan struct {
 	Member bool `json:"member"`
 }
 
-// EpisodeTracker turns recovery lifecycles into EpisodeSpans: the network
-// opens a span on each presumption, marks Token capture / DB switch /
-// Token release / delivery or kill as they happen, and the tracker labels
-// each new span true-cycle vs false-presumption from the WFG analysis run
-// the same cycle. Closed spans land in a bounded ring, stream to the JSONL
-// writer (if set), and feed the time-to-resolve / time-in-DB histograms.
+// EpisodeTracker turns recovery lifecycles into EpisodeSpans: the hub feeds
+// it every packet event through Observe — a presumption opens a span; Token
+// capture, DB switch, Token release and delivery, kill or drop fill it in —
+// and the tracker labels each new span true-cycle vs false-presumption from
+// the WFG analysis run the same cycle. Closed spans land in a bounded ring,
+// stream to the JSONL writer (if set), and feed the time-to-resolve /
+// time-in-DB histograms.
 //
 // Like the rest of the package it is single-writer (simulation goroutine)
 // and nil-safe: every method no-ops on a nil receiver, so instrumentation
@@ -117,23 +122,58 @@ func (t *EpisodeTracker) Register(reg *Registry) {
 		func() float64 { return float64(t.OpenCount()) })
 }
 
-// Open starts an episode for a presumed packet. A packet whose episode is
-// already open (a header re-crossing T_out while still blocked) is not
-// re-opened; the original span keeps running.
-func (t *EpisodeTracker) Open(pkt int64, node int, cycle int64) {
+// Observe advances the episode of the event's packet. It is the tracker's
+// only lifecycle entry point, and the switch below is the one place an
+// event kind maps onto a span field:
+//
+//   - timeout opens an episode; a packet whose episode is already open (a
+//     header re-crossing T_out while still blocked) keeps its original span;
+//   - token-capture, recover and token-release stamp Capture, Recover and
+//     Release the first time each happens;
+//   - deliver closes the episode as "delivered";
+//   - kill (abort-and-retry purge) and drop (a reconfiguration discarded
+//     the packet) close it as "killed".
+//
+// Inject events, and events for packets with no open episode, are ignored.
+func (t *EpisodeTracker) Observe(e trace.Event) {
 	if t == nil {
 		return
 	}
-	if _, ok := t.open[pkt]; ok {
+	pkt, cycle := int64(e.Pkt), int64(e.Cycle)
+	s, ok := t.open[pkt]
+	if !ok && e.Kind != trace.Timeout {
 		return
 	}
-	s := &EpisodeSpan{
-		Seq: t.seq, Pkt: pkt, Node: node, Start: cycle,
-		Capture: -1, Recover: -1, Release: -1, End: -1, Outcome: "open",
+	switch e.Kind {
+	case trace.Timeout:
+		if ok {
+			return
+		}
+		s = &EpisodeSpan{
+			Seq: t.seq, Pkt: pkt, Node: int(e.Node), Start: cycle,
+			Capture: -1, Recover: -1, Release: -1, End: -1, Outcome: "open",
+		}
+		t.seq++
+		t.open[pkt] = s
+		t.pending = append(t.pending, s)
+	case trace.TokenCapture:
+		stamp(&s.Capture, cycle)
+	case trace.Recover:
+		stamp(&s.Recover, cycle)
+	case trace.TokenRelease:
+		stamp(&s.Release, cycle)
+	case trace.Deliver:
+		t.close(s, cycle, "delivered")
+	case trace.Kill, trace.Drop:
+		t.close(s, cycle, "killed")
 	}
-	t.seq++
-	t.open[pkt] = s
-	t.pending = append(t.pending, s)
+}
+
+// stamp records cycle in a -1 ("did not happen") span field once.
+func stamp(field *int64, cycle int64) {
+	if *field < 0 {
+		*field = cycle
+	}
 }
 
 // HasPending reports whether any spans opened this cycle still await their
@@ -163,57 +203,8 @@ func (t *EpisodeTracker) LabelPending(trueCycle bool, member map[int64]bool) {
 	t.pending = t.pending[:0]
 }
 
-// Capture marks the cycle the presumed packet's router seized the Token.
-func (t *EpisodeTracker) Capture(pkt, cycle int64) {
-	if t == nil {
-		return
-	}
-	if s, ok := t.open[pkt]; ok && s.Capture < 0 {
-		s.Capture = cycle
-	}
-}
-
-// Recovered marks the cycle the packet switched onto the Deadlock Buffer.
-func (t *EpisodeTracker) Recovered(pkt, cycle int64) {
-	if t == nil {
-		return
-	}
-	if s, ok := t.open[pkt]; ok && s.Recover < 0 {
-		s.Recover = cycle
-	}
-}
-
-// Release marks the cycle the destination released the Token this
-// episode's packet held.
-func (t *EpisodeTracker) Release(pkt, cycle int64) {
-	if t == nil {
-		return
-	}
-	if s, ok := t.open[pkt]; ok && s.Release < 0 {
-		s.Release = cycle
-	}
-}
-
-// Delivered closes the episode: the packet's tail was consumed at its
-// destination.
-func (t *EpisodeTracker) Delivered(pkt, cycle int64) {
-	t.close(pkt, cycle, "delivered")
-}
-
-// Killed closes the episode: abort-and-retry recovery purged the packet.
-func (t *EpisodeTracker) Killed(pkt, cycle int64) {
-	t.close(pkt, cycle, "killed")
-}
-
-func (t *EpisodeTracker) close(pkt, cycle int64, outcome string) {
-	if t == nil {
-		return
-	}
-	s, ok := t.open[pkt]
-	if !ok {
-		return
-	}
-	delete(t.open, pkt)
+func (t *EpisodeTracker) close(s *EpisodeSpan, cycle int64, outcome string) {
+	delete(t.open, s.Pkt)
 	s.End = cycle
 	s.Outcome = outcome
 	t.histResolve.Observe(float64(cycle - s.Start))

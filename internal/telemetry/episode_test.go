@@ -2,26 +2,37 @@ package telemetry
 
 import (
 	"bytes"
+	"strings"
 	"testing"
+
+	"repro/internal/packet"
+	"repro/internal/sim"
+	"repro/internal/topology"
+	"repro/internal/trace"
 )
+
+// observe feeds the tracker one packet event.
+func observe(tr *EpisodeTracker, k trace.Kind, pkt int64, node int, cycle int64) {
+	tr.Observe(trace.Event{Cycle: sim.Cycle(cycle), Kind: k, Node: topology.Node(node), Pkt: packet.ID(pkt)})
+}
 
 func TestEpisodeLifecycleDelivered(t *testing.T) {
 	r := NewRegistry()
 	tr := NewEpisodeTracker(8)
 	tr.Register(r)
 
-	tr.Open(7, 3, 100)
+	observe(tr, trace.Timeout, 7, 3, 100)
 	if !tr.HasPending() {
-		t.Fatal("HasPending() = false after Open, want true")
+		t.Fatal("HasPending() = false after a timeout, want true")
 	}
 	tr.LabelPending(true, map[int64]bool{7: true})
 	if tr.HasPending() {
 		t.Error("HasPending() = true after LabelPending, want false")
 	}
-	tr.Capture(7, 104)
-	tr.Recovered(7, 105)
-	tr.Release(7, 130)
-	tr.Delivered(7, 132)
+	observe(tr, trace.TokenCapture, 7, 0, 104)
+	observe(tr, trace.Recover, 7, 0, 105)
+	observe(tr, trace.TokenRelease, 7, 0, 130)
+	observe(tr, trace.Deliver, 7, 0, 132)
 
 	spans := tr.Spans()
 	if len(spans) != 1 {
@@ -73,9 +84,9 @@ func TestEpisodeFalsePresumption(t *testing.T) {
 	tr.Register(r)
 
 	// Congestion drains on its own: no Token capture, no DB switch.
-	tr.Open(9, 1, 50)
+	observe(tr, trace.Timeout, 9, 1, 50)
 	tr.LabelPending(false, nil)
-	tr.Delivered(9, 60)
+	observe(tr, trace.Deliver, 9, 0, 60)
 
 	s := tr.Spans()[0]
 	if s.TrueCycle || s.Member {
@@ -100,9 +111,9 @@ func TestEpisodeFalsePresumption(t *testing.T) {
 
 func TestEpisodeKilled(t *testing.T) {
 	tr := NewEpisodeTracker(8)
-	tr.Open(4, 2, 10)
+	observe(tr, trace.Timeout, 4, 2, 10)
 	tr.LabelPending(true, nil)
-	tr.Killed(4, 25)
+	observe(tr, trace.Kill, 4, 0, 25)
 	s := tr.Spans()[0]
 	if s.Outcome != "killed" || s.End != 25 {
 		t.Errorf("killed span = %+v, want outcome=killed end=25", *s)
@@ -111,31 +122,38 @@ func TestEpisodeKilled(t *testing.T) {
 		t.Errorf("span verdict = TrueCycle=%v Member=%v, want true/false", s.TrueCycle, s.Member)
 	}
 	// A killed packet that is re-injected and re-presumed opens a NEW span.
-	tr.Open(4, 2, 40)
+	observe(tr, trace.Timeout, 4, 2, 40)
 	if tr.OpenCount() != 1 || tr.Total() != 2 {
 		t.Errorf("after re-presumption: OpenCount=%d Total=%d, want 1, 2", tr.OpenCount(), tr.Total())
+	}
+	// A reconfiguration drop also closes the span as killed; a later
+	// inject of the same ID touches nothing.
+	observe(tr, trace.Drop, 4, 0, 44)
+	observe(tr, trace.Inject, 4, 0, 45)
+	if s := tr.Spans()[1]; s.Outcome != "killed" || s.End != 44 || tr.OpenCount() != 0 {
+		t.Errorf("dropped span = %+v, OpenCount=%d; want outcome=killed end=44, 0 open", *s, tr.OpenCount())
 	}
 }
 
 func TestEpisodeReopenAbsorbed(t *testing.T) {
 	tr := NewEpisodeTracker(8)
-	tr.Open(1, 0, 10)
+	observe(tr, trace.Timeout, 1, 0, 10)
 	tr.LabelPending(false, nil)
-	tr.Open(1, 5, 20) // header re-crossed T_out while still blocked
+	observe(tr, trace.Timeout, 1, 5, 20) // header re-crossed T_out while still blocked
 	if tr.Total() != 1 {
 		t.Fatalf("Total() = %d after re-open, want 1 (absorbed)", tr.Total())
 	}
-	tr.Delivered(1, 30)
+	observe(tr, trace.Deliver, 1, 0, 30)
 	s := tr.Spans()[0]
 	if s.Start != 10 || s.Node != 0 {
 		t.Errorf("re-open must keep the original span: start=%d node=%d, want 10, 0", s.Start, s.Node)
 	}
 	// First-write-wins on phase marks too.
-	tr.Open(2, 0, 40)
+	observe(tr, trace.Timeout, 2, 0, 40)
 	tr.LabelPending(false, nil)
-	tr.Capture(2, 41)
-	tr.Capture(2, 45)
-	tr.Delivered(2, 50)
+	observe(tr, trace.TokenCapture, 2, 0, 41)
+	observe(tr, trace.TokenCapture, 2, 0, 45)
+	observe(tr, trace.Deliver, 2, 0, 50)
 	if got := tr.Spans()[1].Capture; got != 41 {
 		t.Errorf("second Capture overwrote the first: %d, want 41", got)
 	}
@@ -148,9 +166,9 @@ func TestEpisodeFlushOpen(t *testing.T) {
 	tr.SetWriter(w)
 
 	// Open out of pkt order; FlushOpen must emit in Seq order.
-	tr.Open(30, 0, 5)
-	tr.Open(10, 1, 6)
-	tr.Open(20, 2, 7)
+	observe(tr, trace.Timeout, 30, 0, 5)
+	observe(tr, trace.Timeout, 10, 1, 6)
+	observe(tr, trace.Timeout, 20, 2, 7)
 	tr.LabelPending(false, nil)
 	tr.FlushOpen(100)
 
@@ -186,9 +204,9 @@ func TestEpisodeFlushOpen(t *testing.T) {
 func TestEpisodeRingEviction(t *testing.T) {
 	tr := NewEpisodeTracker(2)
 	for pkt := int64(0); pkt < 4; pkt++ {
-		tr.Open(pkt, 0, pkt*10)
+		observe(tr, trace.Timeout, pkt, 0, pkt*10)
 		tr.LabelPending(false, nil)
-		tr.Delivered(pkt, pkt*10+5)
+		observe(tr, trace.Deliver, pkt, 0, pkt*10+5)
 	}
 	spans := tr.Spans()
 	if len(spans) != 2 {
@@ -228,13 +246,10 @@ func TestEpisodeSpanJSONLRoundtrip(t *testing.T) {
 
 func TestEpisodeTrackerNilSafety(t *testing.T) {
 	var tr *EpisodeTracker
-	tr.Open(1, 0, 0)
+	for k := range trace.KindStrings() {
+		observe(tr, trace.Kind(k), 1, 0, int64(k))
+	}
 	tr.LabelPending(true, nil)
-	tr.Capture(1, 1)
-	tr.Recovered(1, 2)
-	tr.Release(1, 3)
-	tr.Delivered(1, 4)
-	tr.Killed(1, 5)
 	tr.FlushOpen(6)
 	tr.SetWriter(nil)
 	tr.Register(NewRegistry())
@@ -243,9 +258,9 @@ func TestEpisodeTrackerNilSafety(t *testing.T) {
 	}
 	// Unregistered tracker (nil metrics) must also close spans safely.
 	live := NewEpisodeTracker(1)
-	live.Open(1, 0, 0)
+	observe(live, trace.Timeout, 1, 0, 0)
 	live.LabelPending(true, nil)
-	live.Delivered(1, 5)
+	observe(live, trace.Deliver, 1, 0, 5)
 	if live.Total() != 1 {
 		t.Errorf("unregistered tracker Total() = %d, want 1", live.Total())
 	}
@@ -259,5 +274,39 @@ func TestHubEpisodeOptions(t *testing.T) {
 	h = NewHub(Options{EpisodeDepth: -1})
 	if h.Episodes != nil {
 		t.Error("EpisodeDepth < 0 should disable the episode tracker")
+	}
+}
+
+// TestHubObserveOrder pins the hub's routing of one event stream: every
+// event becomes one JSONL event line, and a closing event's span line
+// follows its event line.
+func TestHubObserveOrder(t *testing.T) {
+	var buf bytes.Buffer
+	w := NewJSONLWriter(&buf)
+	h := NewHub(Options{Writer: w, SampleEvery: -1})
+	for _, e := range []trace.Event{
+		{Cycle: 1, Kind: trace.Inject, Node: 2, Pkt: 5},
+		{Cycle: 9, Kind: trace.Timeout, Node: 3, Pkt: 5},
+		{Cycle: 12, Kind: trace.Deliver, Node: 4, Pkt: 5},
+	} {
+		h.Observe(e)
+	}
+	if err := w.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	lines, err := ReadJSONL(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got []string
+	for _, l := range lines {
+		got = append(got, l.Type+":"+l.Kind)
+	}
+	want := []string{"event:inject", "event:timeout", "event:deliver", "span:"}
+	if strings.Join(got, " ") != strings.Join(want, " ") {
+		t.Fatalf("lines %v, want %v", got, want)
+	}
+	if s := lines[3].Span; s.Start != 9 || s.End != 12 || s.Outcome != "delivered" {
+		t.Errorf("span %+v, want start 9, end 12, delivered", *s)
 	}
 }

@@ -1,5 +1,7 @@
 package telemetry
 
+import "repro/internal/trace"
+
 // Options configures a Hub. The zero value enables sampling every 100
 // cycles with a 64-frame flight recorder and no JSONL output.
 type Options struct {
@@ -16,8 +18,8 @@ type Options struct {
 	SnapshotCooldown int64
 	// MaxSnapshots bounds retained (and written) dumps per run (default 16).
 	MaxSnapshots int
-	// Writer, when set, streams samples, snapshots, episode spans and (if
-	// the caller tees the trace buffer into it) events as JSON Lines.
+	// Writer, when set, streams samples, snapshots, episode spans and
+	// packet events as JSON Lines.
 	Writer *JSONLWriter
 	// EpisodeDepth is how many closed recovery-episode spans the episode
 	// tracker retains (default 256). Negative disables episode tracking.
@@ -87,15 +89,24 @@ func NewHub(o Options) *Hub {
 	return h
 }
 
-// NoteTimeout arms the snapshot trigger for this cycle's deadlock
-// presumption. The first presumption of a cycle wins.
-func (h *Hub) NoteTimeout(node int, pkt int64) {
-	if h.trigArmed {
+// Observe routes one packet event from the network to its consumers, in a
+// fixed order: the JSONL "event" line (when a writer is attached), the
+// flight recorder's snapshot trigger (a timeout arms it; the first
+// presumption of a cycle wins) and the episode tracker, whose close writes
+// the span line after the event line. Nil-safe.
+func (h *Hub) Observe(e trace.Event) {
+	if h == nil {
 		return
 	}
-	h.trigArmed = true
-	h.trigNode = node
-	h.trigPkt = pkt
+	if h.Writer != nil {
+		h.Writer.Event(e)
+	}
+	if e.Kind == trace.Timeout && !h.trigArmed {
+		h.trigArmed = true
+		h.trigNode = int(e.Node)
+		h.trigPkt = int64(e.Pkt)
+	}
+	h.Episodes.Observe(e)
 }
 
 // TakeTrigger consumes the pending snapshot trigger, if any.

@@ -5,6 +5,8 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+
+	"repro/internal/trace"
 )
 
 // Line is the decoded superset of every JSONL record type the simulator
@@ -23,7 +25,7 @@ type Line struct {
 	Labels map[string]string `json:"labels,omitempty"`
 	Value  float64           `json:"value,omitempty"`
 
-	// event: one trace.Buffer event (kind is the trace.Kind string form).
+	// event: one packet event (kind is the trace.Kind string form).
 	Kind string `json:"kind,omitempty"`
 	Node int    `json:"node,omitempty"`
 	Pkt  int64  `json:"pkt,omitempty"`
@@ -70,9 +72,9 @@ func (w *JSONLWriter) Sample(cycle int64, name string, labels Labels, value floa
 	w.write(Line{Type: "sample", Cycle: cycle, Name: name, Labels: labels.Map(), Value: value})
 }
 
-// Event writes one trace event.
-func (w *JSONLWriter) Event(cycle int64, kind string, node int, pkt int64) {
-	w.write(Line{Type: "event", Cycle: cycle, Kind: kind, Node: node, Pkt: pkt})
+// Event writes one packet event.
+func (w *JSONLWriter) Event(e trace.Event) {
+	w.write(Line{Type: "event", Cycle: int64(e.Cycle), Kind: e.Kind.String(), Node: int(e.Node), Pkt: int64(e.Pkt)})
 }
 
 // WriteSnapshot writes one flight-recorder dump.

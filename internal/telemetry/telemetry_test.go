@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"strings"
 	"testing"
+
+	"repro/internal/trace"
 )
 
 func TestRegistryExposition(t *testing.T) {
@@ -166,7 +168,7 @@ func TestJSONLRoundtrip(t *testing.T) {
 	w := NewJSONLWriter(&buf)
 	w.Meta(map[string]string{"alg": "disha"})
 	w.Sample(100, "disha_blocked_headers", Labels{{Key: "node", Value: "2"}}, 4)
-	w.Event(123, "timeout", 7, 55)
+	w.Event(trace.Event{Cycle: 123, Kind: trace.Timeout, Node: 7, Pkt: 55})
 	w.WriteSnapshot(&Snapshot{
 		Cycle: 130, TriggerNode: 7, TriggerPkt: 55,
 		Frames:       []Frame{{Cycle: 129, Routers: []RouterFrame{{Node: 7, Blocked: 2}}}},
@@ -215,8 +217,9 @@ func TestHubTrigger(t *testing.T) {
 	if _, _, ok := h.TakeTrigger(); ok {
 		t.Fatal("fresh hub has a trigger")
 	}
-	h.NoteTimeout(3, 10)
-	h.NoteTimeout(4, 11) // first presumption of the cycle wins
+	h.Observe(trace.Event{Kind: trace.Inject, Node: 2, Pkt: 9}) // only timeouts arm it
+	h.Observe(trace.Event{Kind: trace.Timeout, Node: 3, Pkt: 10})
+	h.Observe(trace.Event{Kind: trace.Timeout, Node: 4, Pkt: 11}) // first presumption of the cycle wins
 	node, pkt, ok := h.TakeTrigger()
 	if !ok || node != 3 || pkt != 10 {
 		t.Fatalf("trigger (%d, %d, %v)", node, pkt, ok)

@@ -1,7 +1,9 @@
-// Package trace records notable simulation events — injections, deliveries,
-// deadlock presumptions, recoveries and Token movements — into a bounded
-// ring buffer for debugging and teaching. Tracing is opt-in and records
-// only packet-level events, so it does not perturb the per-flit hot path.
+// Package trace defines the simulator's packet-level events — injections,
+// deliveries, deadlock presumptions, recoveries, Token movements, kills and
+// drops — and a bounded ring buffer that records them for debugging and
+// teaching. The network emits each event once, to the ring when one is
+// attached and to the telemetry hub; both are opt-in and see only
+// packet-level events, so neither perturbs the per-flit hot path.
 package trace
 
 import (
@@ -83,7 +85,6 @@ type Buffer struct {
 	next   int
 	total  int64
 	counts map[Kind]int64
-	sink   func(Event)
 }
 
 // New returns a ring buffer keeping the most recent capacity events.
@@ -92,16 +93,6 @@ func New(capacity int) *Buffer {
 		capacity = 1
 	}
 	return &Buffer{events: make([]Event, 0, capacity), counts: make(map[Kind]int64)}
-}
-
-// SetSink installs a callback that observes every recorded event as it
-// happens (nil detaches). The ring only retains the most recent events;
-// a sink sees them all — the JSONL trace export streams through it.
-func (b *Buffer) SetSink(fn func(Event)) {
-	if b == nil {
-		return
-	}
-	b.sink = fn
 }
 
 // Record appends an event, evicting the oldest when full. No-op on nil.
@@ -117,9 +108,6 @@ func (b *Buffer) Record(e Event) {
 	}
 	b.total++
 	b.counts[e.Kind]++
-	if b.sink != nil {
-		b.sink(e)
-	}
 }
 
 // Total returns how many events were ever recorded (including evicted).

@@ -37,34 +37,57 @@ func newWedgeSim(t testing.TB, seed uint64) *disha.Simulator {
 	return sim
 }
 
-// TestTelemetryDeterminism runs the same seed twice — once bare, once with
-// every telemetry feature enabled (tight sampling, flight recorder, JSONL
-// writer, trace sink) — and requires bit-identical results: same counters,
-// same per-packet latencies. Telemetry is pull-based; it must never perturb
-// the simulation.
+// TestTelemetryDeterminism runs the same seed three times — once bare, twice
+// with every observability feature enabled (tight sampling, flight
+// recorder, phase profiler, JSONL writer, trace ring) — and requires
+// bit-identical results: same counters, same per-packet latencies.
+// Telemetry is pull-based; it must never perturb the simulation. The two
+// instrumented runs must also write byte-identical JSONL once the Go
+// runtime samples (go_*, wall-clock dependent) are dropped, and the ring
+// must have seen exactly the events the JSONL stream carries.
 func TestTelemetryDeterminism(t *testing.T) {
-	run := func(instrument bool) (map[string]int64, []float64) {
+	run := func(instrument bool) (map[string]int64, []float64, []byte) {
 		sim := newWedgeSim(t, 7)
+		var jsonl bytes.Buffer
+		var tw *disha.TelemetryWriter
+		var ringTotal func() int64
 		if instrument {
-			var jsonl bytes.Buffer
-			tw := disha.NewTelemetryWriter(&jsonl)
+			tw = disha.NewTelemetryWriter(&jsonl)
 			sim.EnableTelemetry(disha.TelemetryOptions{
 				SampleEvery: 10, FlightDepth: 32, SnapshotCooldown: 100, Writer: tw,
 				ProfileEvery: 16,
 			})
-			tb := sim.EnableTrace(1024)
-			tb.SetSink(func(e disha.TraceEvent) {
-				tw.Event(int64(e.Cycle), e.Kind.String(), int(e.Node), int64(e.Pkt))
-			})
+			ringTotal = sim.EnableTrace(1024).Total
 		}
 		var lats []float64
 		sim.OnDeliver(func(p *disha.Packet) { lats = append(lats, float64(p.Age())) })
 		sim.Run(3000)
-		return sim.CountersMap(), lats
+		if !instrument {
+			return sim.CountersMap(), lats, nil
+		}
+		if err := tw.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		var kept []string
+		events := int64(0)
+		for _, line := range strings.SplitAfter(jsonl.String(), "\n") {
+			if strings.Contains(line, `"name":"go_`) {
+				continue
+			}
+			if strings.HasPrefix(line, `{"type":"event"`) {
+				events++
+			}
+			kept = append(kept, line)
+		}
+		if ringTotal() != events {
+			t.Fatalf("trace ring saw %d events, JSONL carries %d", ringTotal(), events)
+		}
+		return sim.CountersMap(), lats, []byte(strings.Join(kept, ""))
 	}
 
-	bareCounters, bareLats := run(false)
-	telCounters, telLats := run(true)
+	bareCounters, bareLats, _ := run(false)
+	telCounters, telLats, jsonlA := run(true)
+	_, _, jsonlB := run(true)
 
 	if !maps.Equal(bareCounters, telCounters) {
 		t.Fatalf("telemetry changed counters:\nbare: %v\ntele: %v", bareCounters, telCounters)
@@ -79,6 +102,18 @@ func TestTelemetryDeterminism(t *testing.T) {
 	}
 	if bareCounters["packets_delivered"] == 0 {
 		t.Fatal("run delivered nothing; determinism check is vacuous")
+	}
+	if !bytes.Contains(jsonlA, []byte(`"type":"snapshot"`)) || !bytes.Contains(jsonlA, []byte(`"type":"span"`)) {
+		t.Fatal("JSONL has no snapshot or span line; the byte comparison is vacuous")
+	}
+	if !bytes.Equal(jsonlA, jsonlB) {
+		a, b := strings.Split(string(jsonlA), "\n"), strings.Split(string(jsonlB), "\n")
+		for i := 0; i < len(a) && i < len(b); i++ {
+			if a[i] != b[i] {
+				t.Fatalf("identical runs wrote different JSONL at line %d:\n%s\n%s", i+1, a[i], b[i])
+			}
+		}
+		t.Fatalf("identical runs wrote %d vs %d JSONL lines", len(a), len(b))
 	}
 }
 
